@@ -30,7 +30,7 @@ def _gen(sut: SystemUnderTest, max_steps: int, max_messages: int, quota: int) ->
     )
 
 
-def build_micro(m: int = 1, n: int = 1, bug_enabled: bool = True,
+def build_micro(m: int = 2, n: int = 5, bug_enabled: bool = True,
                 max_steps: int = 60) -> Benchmark:
     sut = MicroBench(m=m, n=n, bug_enabled=bug_enabled)
     return Benchmark("micro", sut, micro_model(m=m, n=n), _gen(sut, max_steps, 1, 0))
@@ -61,36 +61,60 @@ def build_raftlite(proc_count: int = 3, request_count: int = 2,
     )
 
 
-def make_benchmark(name: str, params: dict | None = None) -> Benchmark:
-    """Build a benchmark from dotted config keys (micro.m, raft.procs, ...)."""
-    p = params or {}
-    if name == "micro":
-        return build_micro(
-            m=int(p.get("micro.m", 2)),
-            n=int(p.get("micro.n", 5)),
-            bug_enabled=_truthy(p.get("micro.bug", True)),
-            max_steps=int(p.get("micro.max_steps", 60)),
-        )
-    if name == "tpc":
-        return build_tpc(
-            rm_count=int(p.get("tpc.rm", 3)),
-            var_count=int(p.get("tpc.vars", 2)),
-            request_count=int(p.get("tpc.requests", 5)),
-            max_steps=int(p.get("tpc.max_steps", 100)),
-        )
-    if name == "raftlite":
-        return build_raftlite(
-            proc_count=int(p.get("raft.procs", 3)),
-            request_count=int(p.get("raft.requests", 2)),
-            quorum_bug=_truthy(p.get("raft.quorum_bug", False)),
-            snapshot_threshold=int(p.get("raft.snapshot_threshold", 8)),
-            max_steps=int(p.get("raft.max_steps", 100)),
-            crash_quota=int(p.get("raft.crash_quota", 10)),
-        )
-    raise ValueError(f"unknown benchmark {name!r}")
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
 
 
-def _truthy(v) -> bool:
+def _strict_bool(v) -> bool:
+    """A Python bool, or one of the spellings in _BOOLS in any case."""
     if isinstance(v, bool):
         return v
-    return str(v).lower() in ("1", "true", "yes", "on")
+    return _BOOLS[str(v).lower()]
+
+
+# The one list of benchmarks: name -> (builder, {dotted key: (builder
+# keyword, converter)}).  The builders' keyword defaults are the only defaults.
+BENCHMARKS = {
+    "micro": (build_micro, {
+        "micro.m": ("m", int),
+        "micro.n": ("n", int),
+        "micro.bug": ("bug_enabled", _strict_bool),
+        "micro.max_steps": ("max_steps", int),
+    }),
+    "tpc": (build_tpc, {
+        "tpc.rm": ("rm_count", int),
+        "tpc.vars": ("var_count", int),
+        "tpc.requests": ("request_count", int),
+        "tpc.max_steps": ("max_steps", int),
+    }),
+    "raftlite": (build_raftlite, {
+        "raft.procs": ("proc_count", int),
+        "raft.requests": ("request_count", int),
+        "raft.quorum_bug": ("quorum_bug", _strict_bool),
+        "raft.snapshot_threshold": ("snapshot_threshold", int),
+        "raft.max_steps": ("max_steps", int),
+        "raft.crash_quota": ("crash_quota", int),
+    }),
+}
+
+
+def make_benchmark(name: str, params: dict | None = None) -> Benchmark:
+    """Build a benchmark from dotted config keys (micro.m, raft.procs, ...).
+
+    Keys not given keep the builder's default.  An unknown key, a key of
+    another benchmark or a value that does not convert raises ValueError.
+    """
+    if name not in BENCHMARKS:
+        raise ValueError(f"unknown benchmark {name!r} (known: {', '.join(BENCHMARKS)})")
+    build, keys = BENCHMARKS[name]
+    known = f"of benchmark {name!r} (known: {', '.join(keys)})"
+    kwargs = {}
+    for key, value in (params or {}).items():
+        if key not in keys:
+            raise ValueError(f"unknown parameter {key!r} {known}")
+        arg, convert = keys[key]
+        try:
+            kwargs[arg] = convert(value)
+        except (KeyError, TypeError, ValueError):
+            raise ValueError(f"bad value {value!r} for parameter {key!r} {known}") from None
+    return build(**kwargs)

@@ -28,7 +28,7 @@ class MicroBench(SystemUnderTest):
     name = "micro"
     crashes_allowed = False
 
-    def __init__(self, m: int = 1, n: int = 1, bug_enabled: bool = True):
+    def __init__(self, m: int, n: int, bug_enabled: bool):
         if m < 1 or n < 1:
             raise ValueError("need m >= 1 workers and n >= 1 tasks")
         self.m = m
@@ -151,7 +151,7 @@ class MicroState(NamedTuple):
     terminated: tuple
 
 
-def micro_model(m: int = 1, n: int = 1) -> Lts:
+def micro_model(m: int, n: int) -> Lts:
     procs = tuple(range(1, m + 2))  # workers then terminator
     target = 1  # requests are dispatched to the first worker
     initial = MicroState((), (), (0,) * m, (0,) * m, (), ())

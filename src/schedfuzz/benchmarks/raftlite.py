@@ -49,8 +49,8 @@ class RaftLiteBench(SystemUnderTest):
     name = "raftlite"
     crashes_allowed = True
 
-    def __init__(self, proc_count: int = 3, request_count: int = 2,
-                 quorum_bug: bool = False, snapshot_threshold: int = 8):
+    def __init__(self, proc_count: int, request_count: int,
+                 quorum_bug: bool, snapshot_threshold: int):
         if proc_count < 3 or proc_count % 2 == 0:
             raise ValueError("need an odd proc_count >= 3")
         if request_count < 1:

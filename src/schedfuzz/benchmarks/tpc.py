@@ -33,7 +33,7 @@ class TpcBench(SystemUnderTest):
     name = "tpc"
     crashes_allowed = False
 
-    def __init__(self, rm_count: int = 3, var_count: int = 2, request_count: int = 5):
+    def __init__(self, rm_count: int, var_count: int, request_count: int):
         if rm_count < 1 or var_count < 1 or request_count < 1:
             raise ValueError("need rm_count, var_count, request_count >= 1")
         self.rm_count = rm_count

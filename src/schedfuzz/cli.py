@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from .benchmarks import make_benchmark
+from .benchmarks import BENCHMARKS, make_benchmark
 from .coverage import NOTIONS, enumerate_orderings
 from .fuzzer import CampaignConfig, fuzz_campaign
 from .harness import execute_schedule, export_execution_json
@@ -38,7 +38,10 @@ def main(argv=None) -> int:
 
 def _peek_config(argv) -> dict:
     if "--config" in argv:
-        path = Path(argv[argv.index("--config") + 1])
+        i = argv.index("--config") + 1
+        if i == len(argv):
+            raise ValueError("--config needs a file path")
+        path = Path(argv[i])
         cfg = json.loads(path.read_text())
         if not isinstance(cfg, dict):
             raise ValueError("config file must hold a JSON object")
@@ -52,7 +55,7 @@ def build_parser(cfg: dict | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--bench", choices=["micro", "tpc", "raftlite"],
+        p.add_argument("--bench", choices=list(BENCHMARKS),
                        default=cfg.get("bench"))
         p.add_argument("--param", action="append", default=[],
                        metavar="KEY=VALUE", help="benchmark parameter, dotted key")
@@ -144,10 +147,16 @@ def cmd_run(args) -> int:
     write_timeline_csv(out_dir / "coverage.csv", result.timeline)
     corpus_dir = out_dir / "corpus"
     corpus_dir.mkdir(exist_ok=True)
-    for entry in result.corpus:
-        (corpus_dir / f"{entry.discovered_at}.json").write_bytes(
-            serialize_schedule(entry.schedule)
-        )
+    with (out_dir / "corpus.jsonl").open("w") as fh:
+        for entry in result.corpus:
+            sched_file = corpus_dir / f"{entry.entry_id}.json"
+            sched_file.write_bytes(serialize_schedule(entry.schedule))
+            fh.write(json.dumps({
+                "entry_id": entry.entry_id,
+                "parent": entry.parent,
+                "discovered_at": entry.discovered_at,
+                "file": str(sched_file),
+            }) + "\n")
     bug_dir = out_dir / "bugs"
     with (out_dir / "bugs.jsonl").open("w") as fh:
         for rec in result.bug_log:
@@ -174,14 +183,12 @@ def cmd_compare(args) -> int:
     for n in notions:
         if n not in NOTIONS:
             raise ValueError(f"unknown notion {n!r}")
-    bench_name, params = args.bench, parse_params(args)
-    if not bench_name:
-        raise ValueError("--bench is required (flag or config file)")
+    get_benchmark(args)  # a bad name or parameter fails before any campaign runs
     out_dir = args.out
     out_dir.mkdir(parents=True, exist_ok=True)
     result = compare_strategies(
         CompareConfig(
-            benchmark_factory=lambda: make_benchmark(bench_name, params),
+            benchmark_factory=lambda: get_benchmark(args),
             notions=notions,
             runs=args.runs,
             budget=args.budget,

@@ -8,11 +8,10 @@ turned into the other by swapping adjacent independent events.
 
 from __future__ import annotations
 
-import copy
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .fingerprint import digest128, encode_canonical, fingerprint
 from .harness import (
@@ -22,7 +21,7 @@ from .harness import (
     ConcreteEventTrace,
     ExecutionResult,
     HarnessState,
-    deliver_one,
+    deliver,
     init_state,
 )
 from .mapper import map_events
@@ -66,26 +65,21 @@ def default_dependent(e1, e2) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class IndependenceRelation:
-    dependent: Callable = default_dependent
-
-
-DEFAULT_INDEPENDENCE = IndependenceRelation()
-
-
 def _event_key(ev) -> bytes:
     send = -1 if ev.send is None else ev.send
     return encode_canonical((ev.kind, ev.recv, send, ev.verb, ev.fields))
 
 
-def canonical_linearization(events, indep: IndependenceRelation = DEFAULT_INDEPENDENCE):
+def canonical_linearization(events, dependent=None):
     """Indices of ``events`` in the canonical (lexicographically least) order.
 
     Greedy over the dependence partial order: repeatedly emit the least-keyed
     event whose dependence predecessors are all emitted.  Two co-available
     events never share a key under the default relation (equal keys imply
     equal receivers, hence dependence), so the result is order-canonical.
+
+    ``dependent=None`` builds default_dependent's sparse graph; a predicate
+    builds its dense O(n^2) graph, the tests' reference for the sparse one.
     """
     n = len(events)
     keys = [_event_key(e) for e in events]
@@ -96,7 +90,7 @@ def canonical_linearization(events, indep: IndependenceRelation = DEFAULT_INDEPE
         succs[i].append(j)
         indeg[j] += 1
 
-    if indep.dependent is default_dependent:
+    if dependent is None:
         # Sparse construction: same-receiver chains carry ordinary dependence;
         # crash/restart additionally pin every message their process sent.
         last_recv: dict[int, int] = {}
@@ -118,10 +112,9 @@ def canonical_linearization(events, indep: IndependenceRelation = DEFAULT_INDEPE
                     edge(last_fault[s], j)
                 pending_sends.setdefault(s, []).append(j)
     else:
-        dep = indep.dependent
         for j in range(n):
             for i in range(j):
-                if dep(events[i], events[j]):
+                if dependent(events[i], events[j]):
                     edge(i, j)
 
     heap = [(keys[i], i) for i in range(n) if indeg[i] == 0]
@@ -139,11 +132,10 @@ def canonical_linearization(events, indep: IndependenceRelation = DEFAULT_INDEPE
     return order
 
 
-def trace_fingerprint(trace: ConcreteEventTrace,
-                      indep: IndependenceRelation = DEFAULT_INDEPENDENCE) -> bytes:
+def trace_fingerprint(trace: ConcreteEventTrace) -> bytes:
     """128-bit id of the execution's Mazurkiewicz equivalence class."""
     events = [e for e in trace.events if e.kind in (EV_DELIVER, EV_CRASH, EV_RESTART)]
-    order = canonical_linearization(events, indep)
+    order = canonical_linearization(events)
     return digest128(b"".join(_event_key(events[i]) for i in order))
 
 
@@ -163,8 +155,8 @@ def model_state_items(model_run, lts=None) -> frozenset:
     return frozenset(("state", fingerprint(s)) for s in states)
 
 
-def assess(notion: str, exec_result: ExecutionResult, model_run=None, lts=None,
-           indep: IndependenceRelation = DEFAULT_INDEPENDENCE) -> CoverageReport:
+def assess(notion: str, exec_result: ExecutionResult, model_run=None,
+           lts=None) -> CoverageReport:
     if notion == MODEL:
         if model_run is None:
             raise CoverageContractError("model-state coverage needs a model run")
@@ -173,7 +165,7 @@ def assess(notion: str, exec_result: ExecutionResult, model_run=None, lts=None,
         raise CoverageContractError(f"notion {notion!r} takes no model run")
     if notion == TRACE:
         return CoverageReport(
-            frozenset({("trace", trace_fingerprint(exec_result.trace, indep))}), notion
+            frozenset({("trace", trace_fingerprint(exec_result.trace))}), notion
         )
     if notion == LINE:
         return CoverageReport(
@@ -199,10 +191,6 @@ class EnumerationResult(NamedTuple):
     trace_classes: int
     records: tuple
     violation_keys: frozenset
-
-    @property
-    def state_sets(self):
-        return {r.deliveries: r.state_fps for r in self.records}
 
 
 def _clone_hs(sut, hs: HarnessState) -> HarnessState:
@@ -265,7 +253,7 @@ def enumerate_orderings(bench, max_depth: int,
             return
         for buf in options:
             child = _clone_hs(sut, hs)
-            deliver_one(sut, child, depth, buf)
+            deliver(sut, child, depth, buf, 1)
             walk(child, depth + 1)
 
     walk(init_state(sut), 0)

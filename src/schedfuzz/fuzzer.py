@@ -218,17 +218,15 @@ def fuzz_campaign(config: CampaignConfig) -> CampaignResult:
         iteration += 1
         exec_result = execute_schedule(bench.sut, entry.schedule)
 
-        model_run = None
         if need_model:
             actions = map_events(bench.name, exec_result.trace)
             model_run = run_actions(bench.lts, actions)
             result.unmatched_actions += len(model_run.unmatched)
-            states |= model_state_items(model_run, bench.lts)
-
-        if config.notion == MODEL:
-            report = assess(MODEL, exec_result, model_run, bench.lts)
-        else:
-            report = assess(config.notion, exec_result)
+            state_items = model_state_items(model_run, bench.lts)
+            states |= state_items
+        # The model notion's coverage items are the state items just computed.
+        items = (state_items if config.notion == MODEL
+                 else assess(config.notion, exec_result).items)
 
         stop = False
         for v in exec_result.violations:
@@ -238,7 +236,7 @@ def fuzz_campaign(config: CampaignConfig) -> CampaignResult:
             if config.stop_on_bug and config.stop_on_bug in v.key:
                 stop = True
 
-        new_items = report.items - total
+        new_items = items - total
         if new_items:
             energy = assign_energy(len(new_items), config.energy_per_item)
             entry.energy = energy

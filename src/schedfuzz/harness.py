@@ -37,15 +37,19 @@ class HarnessError(RuntimeError):
     """Unrecoverable harness fault (not a benchmark bug)."""
 
 
+def _field(self, key, default=None):
+    """The value of ``key`` among ``self.fields``, else ``default``."""
+    for k, v in self.fields:
+        if k == key:
+            return v
+    return default
+
+
 class Message(NamedTuple):
     verb: str
     fields: tuple  # sorted (key, value) pairs; values are ints or strings
 
-    def field(self, key, default=None):
-        for k, v in self.fields:
-            if k == key:
-                return v
-        return default
+    field = _field
 
 
 def make_message(verb: str, **fields) -> Message:
@@ -60,11 +64,7 @@ class ConcreteEvent(NamedTuple):
     fields: tuple       # sorted (key, value) pairs
     step: int           # schedule step index, -1 for initialization
 
-    def field(self, key, default=None):
-        for k, v in self.fields:
-            if k == key:
-                return v
-        return default
+    field = _field
 
 
 class ConcreteEventTrace(NamedTuple):
@@ -184,7 +184,7 @@ class HarnessState:
 
 
 def init_state(sut: SystemUnderTest) -> HarnessState:
-    """Fresh harness state: equivalent to reset()."""
+    """Fresh harness state for one execution."""
     states, inflight = sut.init()
     if len(states) != sut.process_count:
         raise HarnessError("init returned wrong number of process states")
@@ -196,16 +196,12 @@ def init_state(sut: SystemUnderTest) -> HarnessState:
     return hs
 
 
-def reset(sut: SystemUnderTest) -> HarnessState:
-    return init_state(sut)
-
-
 def execute_schedule(sut: SystemUnderTest, schedule: Schedule) -> ExecutionResult:
     hs = init_state(sut)
     for idx, step in enumerate(schedule.steps):
         buf = step.buffer
         if step.op == DELIVER:
-            _do_deliver(sut, hs, idx, buf, step.count)
+            deliver(sut, hs, idx, buf, step.count)
         elif step.op == CRASH:
             _do_crash(sut, hs, idx, buf.receiver)
         elif step.op == RESTART:
@@ -236,21 +232,24 @@ def _run_handler(sut, hs, idx, proc, sender, msg) -> None:
     ctx = HandlerContext()
     try:
         sut.handle(proc, hs.states[proc], msg, ctx)
-    except AssertionBug as e:
-        hs.violations.append(Violation(ASSERTION, str(e), idx))
+    except HarnessError:
+        raise
+    except Exception as e:
+        if isinstance(e, AssertionBug):
+            hs.violations.append(Violation(ASSERTION, str(e), idx))
+        else:
+            hs.violations.append(
+                Violation(PANIC, f"{type(e).__name__} while handling {msg.verb}", idx)
+            )
         _kill(sut, hs, proc)
         # The turn aborted: pending sends and markers die with the process.
         ctx.outbox.clear()
         ctx.internals.clear()
-    except HarnessError:
-        raise
-    except Exception as e:
-        hs.violations.append(
-            Violation(PANIC, f"{type(e).__name__} while handling {msg.verb}", idx)
-        )
-        _kill(sut, hs, proc)
-        ctx.outbox.clear()
-        ctx.internals.clear()
+    _end_turn(sut, hs, idx, proc, event, ctx)
+
+
+def _end_turn(sut, hs, idx, proc, event, ctx) -> None:
+    """Record a turn's points, events and sends; then show its events to the oracle."""
     hs.points.update(ctx.points)
     turn_events = [event]
     for verb, fields in ctx.internals:
@@ -262,23 +261,13 @@ def _run_handler(sut, hs, idx, proc, sender, msg) -> None:
         _observe(sut, hs, ev)
 
 
-def deliver_one(sut: SystemUnderTest, hs: HarnessState, idx: int, buf: BufferId) -> None:
-    """Deliver exactly one message from ``buf`` with full turn semantics.
+def deliver(sut: SystemUnderTest, hs: HarnessState, idx: int, buf: BufferId,
+            count: int) -> None:
+    """Step ``idx`` delivers up to ``count`` messages from ``buf``, one turn each.
 
     The enumeration oracle drives executions message by message through this
     entry point so its semantics can never drift from execute_schedule's.
     """
-    if buf in sut.control_buffers:
-        _run_handler(sut, hs, idx, buf.receiver, buf.sender, sut.control_message(buf))
-        return
-    q = hs.buffers[buf]
-    msg = q.popleft()
-    if not q:
-        del hs.buffers[buf]
-    _run_handler(sut, hs, idx, buf.receiver, buf.sender, msg)
-
-
-def _do_deliver(sut, hs, idx, buf, count) -> None:
     receiver = buf.receiver
     if receiver not in hs.alive:
         hs.skipped.append(idx)
@@ -325,16 +314,7 @@ def _do_restart(sut, hs, idx, proc) -> None:
     ctx = HandlerContext()
     hs.states[proc] = sut.recover(proc, hs.persisted.pop(proc), ctx)
     hs.alive.add(proc)
-    hs.points.update(ctx.points)
-    event = ConcreteEvent(EV_RESTART, proc, None, "", (), idx)
-    turn_events = [event]
-    for verb, fields in ctx.internals:
-        turn_events.append(ConcreteEvent(EV_INTERNAL, proc, None, verb, fields, idx))
-    for dest, out in ctx.outbox:
-        hs.buffers.setdefault(BufferId(proc, dest), deque()).append(out)
-    hs.events.extend(turn_events)
-    for ev in turn_events:
-        _observe(sut, hs, ev)
+    _end_turn(sut, hs, idx, proc, ConcreteEvent(EV_RESTART, proc, None, "", (), idx), ctx)
 
 
 def export_execution_json(result: ExecutionResult) -> bytes:

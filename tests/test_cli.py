@@ -1,5 +1,9 @@
 import json
+from pathlib import Path
 
+import pytest
+
+from schedfuzz import cli
 from schedfuzz.cli import main
 
 
@@ -49,8 +53,13 @@ def test_run_writes_outputs(tmp_path, capsys):
     assert csv_lines[0] == "iteration,total_coverage,executions,model_states"
     assert len(csv_lines) == summary["iterations"] + 1
     assert (out_dir / "bugs.jsonl").exists()
-    assert (out_dir / "corpus").is_dir()
-    assert list((out_dir / "corpus").glob("*.json"))
+    # one file per corpus entry, even where entries share an iteration
+    index = [json.loads(l) for l in (out_dir / "corpus.jsonl").read_text().splitlines()]
+    files = sorted((out_dir / "corpus").glob("*.json"))
+    assert index and len(files) == len(index)
+    assert sorted(Path(rec["file"]) for rec in index) == files
+    assert len({rec["discovered_at"] for rec in index}) < len(index)
+    assert {"entry_id", "parent", "discovered_at", "file"} == set(index[0])
 
 
 def test_replay_round_trips_a_bug_schedule(tmp_path, capsys):
@@ -130,3 +139,70 @@ def test_unknown_notion_is_reported(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "psychic" in err
+
+
+BAD_PARAMS = [
+    ("tpc", "tpc.requets=1", "tpc.requets"),      # unknown key
+    ("tpc", "raft.procs=5", "raft.procs"),         # key of another benchmark
+    ("micro", "micro.bug=ture", "micro.bug"),      # malformed bool
+    ("raftlite", "raft.procs=five", "raft.procs"), # malformed int
+]
+COMMAND_FLAGS = {
+    "run": ["--budget", "5"],
+    "compare": ["--runs", "2", "--budget", "5"],
+    "enumerate": [],
+    "replay": [],
+}
+
+
+def _no_campaigns(monkeypatch):
+    def fail(*_):
+        raise AssertionError("a campaign ran despite a bad parameter")
+
+    monkeypatch.setattr(cli, "fuzz_campaign", fail)
+    monkeypatch.setattr(cli, "compare_strategies", fail)
+
+
+def _command_argv(command, tmp_path):
+    argv = [command, *COMMAND_FLAGS[command]]
+    if command in ("run", "compare"):
+        argv += ["--out", str(tmp_path / "out")]
+    if command == "replay":
+        argv += ["--schedule", str(tmp_path / "missing.json")]
+    return argv
+
+
+def _assert_one_error_line(capsys, code, key):
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert repr(key) in err[0]
+
+
+@pytest.mark.parametrize("command", list(COMMAND_FLAGS))
+@pytest.mark.parametrize("bench, param, key", BAD_PARAMS)
+def test_bad_param_is_one_error_line(tmp_path, capsys, monkeypatch,
+                                     command, bench, param, key):
+    _no_campaigns(monkeypatch)
+    argv = _command_argv(command, tmp_path) + ["--bench", bench, "--param", param]
+    _assert_one_error_line(capsys, main(argv), key)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", list(COMMAND_FLAGS))
+@pytest.mark.parametrize("bench, param, key", BAD_PARAMS)
+def test_bad_config_param_is_one_error_line(tmp_path, capsys, monkeypatch,
+                                            command, bench, param, key):
+    _no_campaigns(monkeypatch)
+    cfg = tmp_path / "cfg.json"
+    k, v = param.split("=")
+    cfg.write_text(json.dumps({"bench": bench, "params": {k: v}}))
+    argv = _command_argv(command, tmp_path) + ["--config", str(cfg)]
+    _assert_one_error_line(capsys, main(argv), key)
+
+
+def test_config_flag_without_a_path_is_reported(capsys):
+    code = main(["run", "--bench", "micro", "--config"])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error:") and "--config" in err[0]

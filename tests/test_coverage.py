@@ -1,13 +1,12 @@
+import dataclasses
 import random
 
 import pytest
 
-from schedfuzz.benchmarks import build_micro
+from schedfuzz.benchmarks import build_micro, build_raftlite
 from schedfuzz.coverage import (
     CoverageContractError,
-    DEFAULT_INDEPENDENCE,
     EnumerationExplosion,
-    IndependenceRelation,
     assess,
     canonical_linearization,
     default_dependent,
@@ -17,7 +16,13 @@ from schedfuzz.coverage import (
 from schedfuzz.harness import ConcreteEvent, ConcreteEventTrace, execute_schedule
 from schedfuzz.mapper import map_events
 from schedfuzz.model import bfs_reachable, run_actions
-from schedfuzz.schedule import BufferId, DELIVER, Schedule, ScheduleStep
+from schedfuzz.schedule import (
+    BufferId,
+    DELIVER,
+    Schedule,
+    ScheduleStep,
+    generate_random_schedule,
+)
 
 
 def _deliver(recv, send, verb, step=0, **fields):
@@ -99,13 +104,37 @@ def test_canonical_linearization_is_a_permutation():
 
 
 def test_custom_relation_falls_back_to_generic_graph():
-    total_dependence = IndependenceRelation(dependent=lambda a, b: True)
+    def total_dependence(a, b):
+        return True
+
     a = _deliver(1, 0, "Execute", idx=1)
     b = _deliver(2, 0, "Terminate", worker=1)
     # with everything dependent, order is preserved verbatim
-    assert trace_fingerprint(_trace(a, b), total_dependence) != trace_fingerprint(
-        _trace(b, a), total_dependence
-    )
+    assert canonical_linearization([a, b], total_dependence) == [0, 1]
+    assert canonical_linearization([b, a], total_dependence) == [0, 1]
+    # the default relation lets the two commute into one canonical order
+    ab, ba = canonical_linearization([a, b]), canonical_linearization([b, a])
+    assert [[a, b][i] for i in ab] == [[b, a][i] for i in ba]
+
+
+def _fingerprinted(events):
+    return [e for e in events if e.kind != "internal"]
+
+
+def test_sparse_graph_matches_dense_reference():
+    micro = enumerate_orderings(build_micro(1, 1, True), max_depth=12, keep_events=True)
+    traces = [_fingerprinted(rec.events) for rec in micro.records]
+    bench = build_raftlite(5, 2)
+    crash_heavy = dataclasses.replace(bench.gen_defaults, crash_quota=30)
+    rng = random.Random(11)
+    for _ in range(1200):
+        result = execute_schedule(bench.sut, generate_random_schedule(crash_heavy, rng))
+        traces.append(_fingerprinted(result.trace.events))
+    assert sum(any(e.kind == "crash" for e in t) for t in traces) > 1000
+    for events in traces:
+        assert canonical_linearization(events) == canonical_linearization(
+            events, default_dependent
+        )
 
 
 # --- assess ------------------------------------------------------------------

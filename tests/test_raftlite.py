@@ -6,7 +6,6 @@ from schedfuzz.benchmarks import build_raftlite
 from schedfuzz.benchmarks.raftlite import (
     ELECTION_SAFETY,
     LEADER,
-    RaftLiteBench,
     encode_entries,
     parse_entries,
 )
@@ -34,9 +33,9 @@ def test_paper_scale_configuration_builds():
 
 def test_even_or_tiny_clusters_rejected():
     with pytest.raises(ValueError):
-        RaftLiteBench(proc_count=4)
+        build_raftlite(proc_count=4)
     with pytest.raises(ValueError):
-        RaftLiteBench(proc_count=1)
+        build_raftlite(proc_count=1)
 
 
 def test_no_timeouts_means_no_leader_and_no_violations():
