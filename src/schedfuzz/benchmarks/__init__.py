@@ -6,10 +6,13 @@ from dataclasses import dataclass
 
 from ..harness import SystemUnderTest
 from ..model import Lts
-from ..schedule import GenParams
+from ..schedule import DELIVER, GenParams, Schedule, ScheduleError
 from .micro import MicroBench, micro_model
 from .raftlite import RaftLiteBench, raftlite_model
 from .tpc import TpcBench, tpc_model
+
+
+NO_CRASHES = "benchmark {!r} does not tolerate crash schedules"
 
 
 @dataclass(frozen=True)
@@ -18,6 +21,24 @@ class Benchmark:
     sut: SystemUnderTest
     lts: Lts
     gen_defaults: GenParams
+
+    def check_schedule(self, schedule: Schedule) -> None:
+        """Raise ScheduleError unless every step of ``schedule`` fits this benchmark.
+
+        A step must name one of the benchmark's buffers: an ordered pair of
+        distinct processes in range, or one of its extra buffers.  Crash and
+        restart steps need a benchmark that tolerates crashes.
+        """
+        buffers = set(self.gen_defaults.buffer_universe())
+        for idx, step in enumerate(schedule.steps):
+            if step.buffer not in buffers:
+                raise ScheduleError(
+                    f"step {idx}: buffer {step.buffer.sender}->{step.buffer.receiver} "
+                    f"is not a buffer of benchmark {self.name!r} "
+                    f"(processes 0..{self.sut.process_count - 1})"
+                )
+            if step.op != DELIVER and not self.sut.crashes_allowed:
+                raise ScheduleError(f"step {idx}: {NO_CRASHES.format(self.name)}")
 
 
 def _gen(sut: SystemUnderTest, max_steps: int, max_messages: int, quota: int) -> GenParams:

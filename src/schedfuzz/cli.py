@@ -37,16 +37,22 @@ def main(argv=None) -> int:
 
 
 def _peek_config(argv) -> dict:
-    if "--config" in argv:
-        i = argv.index("--config") + 1
-        if i == len(argv):
-            raise ValueError("--config needs a file path")
-        path = Path(argv[i])
-        cfg = json.loads(path.read_text())
-        if not isinstance(cfg, dict):
-            raise ValueError("config file must hold a JSON object")
-        return cfg
-    return {}
+    """The config file named by --config, read with the parser's own spelling
+    rules (``--config PATH`` or ``--config=PATH``); {} without the flag."""
+    peek = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    peek.add_argument("--config")
+    try:
+        path = peek.parse_known_args(argv)[0].config
+    except argparse.ArgumentError:  # --config as the last argument
+        path = ""
+    if path is None:
+        return {}
+    if not path:
+        raise ValueError("--config needs a file path")
+    cfg = json.loads(Path(path).read_text())
+    if not isinstance(cfg, dict):
+        raise ValueError("config file must hold a JSON object")
+    return cfg
 
 
 def build_parser(cfg: dict | None = None) -> argparse.ArgumentParser:
@@ -236,6 +242,7 @@ def cmd_enumerate(args) -> int:
 def cmd_replay(args) -> int:
     bench = get_benchmark(args)
     schedule = parse_schedule(args.schedule.read_bytes())
+    bench.check_schedule(schedule)
     result = execute_schedule(bench.sut, schedule)
     if args.json_out:
         args.json_out.write_bytes(export_execution_json(result))

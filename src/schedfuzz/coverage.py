@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .fingerprint import digest128, encode_canonical, fingerprint
+from .fingerprint import _encoded, digest128, encode_canonical, fingerprint, remember
 from .harness import (
     EV_CRASH,
     EV_DELIVER,
@@ -66,8 +66,12 @@ def default_dependent(e1, e2) -> bool:
 
 
 def _event_key(ev) -> bytes:
-    send = -1 if ev.send is None else ev.send
-    return encode_canonical((ev.kind, ev.recv, send, ev.verb, ev.fields))
+    """The canonical encoding of an event's identity, memoised per value."""
+    value = (ev.kind, ev.recv, -1 if ev.send is None else ev.send, ev.verb, ev.fields)
+    try:
+        return _encoded[value]
+    except KeyError:
+        return remember(_encoded, value, encode_canonical(value))
 
 
 def canonical_linearization(events, dependent=None):
@@ -81,8 +85,12 @@ def canonical_linearization(events, dependent=None):
     ``dependent=None`` builds default_dependent's sparse graph; a predicate
     builds its dense O(n^2) graph, the tests' reference for the sparse one.
     """
+    return _linearize(events, [_event_key(e) for e in events], dependent)
+
+
+def _linearize(events, keys, dependent=None):
+    """canonical_linearization over precomputed event keys."""
     n = len(events)
-    keys = [_event_key(e) for e in events]
     succs: list[list[int]] = [[] for _ in range(n)]
     indeg = [0] * n
 
@@ -135,8 +143,8 @@ def canonical_linearization(events, dependent=None):
 def trace_fingerprint(trace: ConcreteEventTrace) -> bytes:
     """128-bit id of the execution's Mazurkiewicz equivalence class."""
     events = [e for e in trace.events if e.kind in (EV_DELIVER, EV_CRASH, EV_RESTART)]
-    order = canonical_linearization(events)
-    return digest128(b"".join(_event_key(events[i]) for i in order))
+    keys = [_event_key(e) for e in events]
+    return digest128(b"".join(keys[i] for i in _linearize(events, keys)))
 
 
 def model_state_items(model_run, lts=None) -> frozenset:

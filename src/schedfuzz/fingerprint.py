@@ -13,9 +13,15 @@ import hashlib
 DIGEST_SIZE = 16
 _KEY = b"schedfuzz-fp-v1\x00"
 
-# Canonical-value cache: states recur constantly during a campaign, and the
-# encode+digest cost dominates coverage accounting without it.
+# Memos: states and trace events recur constantly during a campaign, and the
+# encode+digest cost dominates coverage accounting without them.  _cache maps
+# a canonical value to its fingerprint; _encoded maps a trace event's key
+# value to its encoding (filled by coverage).  A memo that reaches
+# CACHE_LIMIT entries is emptied in place, so memory stays bounded across
+# the campaigns of one process; callers may hold references to either dict.
+CACHE_LIMIT = 1 << 16
 _cache: dict[object, bytes] = {}
+_encoded: dict[object, bytes] = {}
 
 
 def encode_canonical(value) -> bytes:
@@ -73,13 +79,21 @@ def fingerprint(value) -> bytes:
     try:
         return _cache[value]
     except KeyError:
-        fp = digest128(encode_canonical(value))
-        _cache[value] = fp
-        return fp
+        return remember(_cache, value, digest128(encode_canonical(value)))
     except TypeError:
         # Unhashable (should not happen for canonical values); don't cache.
         return digest128(encode_canonical(value))
 
 
+def remember(memo: dict, key, value):
+    """Store ``value`` under ``key`` in a bounded memo and return it."""
+    if len(memo) >= CACHE_LIMIT:
+        memo.clear()
+    memo[key] = value
+    return value
+
+
 def clear_cache() -> None:
+    """Empty both memos in place."""
     _cache.clear()
+    _encoded.clear()

@@ -14,7 +14,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 
-from .benchmarks import Benchmark
+from .benchmarks import NO_CRASHES, Benchmark
 from .coverage import MODEL, NOTIONS, assess, model_state_items
 from .harness import execute_schedule
 from .mapper import map_events
@@ -175,9 +175,7 @@ def fuzz_campaign(config: CampaignConfig) -> CampaignResult:
         raise CampaignConfigError(f"unknown notion {config.notion!r}")
     gen = config.gen or bench.gen_defaults
     if gen.crash_quota > 0 and not bench.sut.crashes_allowed:
-        raise CampaignConfigError(
-            f"benchmark {bench.name!r} does not tolerate crash schedules"
-        )
+        raise CampaignConfigError(NO_CRASHES.format(bench.name))
     if config.budget < 1 or config.corpus_size < 1:
         raise CampaignConfigError("budget and corpus size must be >= 1")
 

@@ -164,8 +164,8 @@ def parse_schedule(data: bytes) -> Schedule:
         obj = json.loads(data)
     except json.JSONDecodeError as e:
         raise ScheduleError(f"malformed schedule JSON: {e}") from e
-    if not isinstance(obj, dict) or "steps" not in obj:
-        raise ScheduleError("malformed schedule JSON: missing 'steps'")
+    if not isinstance(obj, dict) or not isinstance(obj.get("steps"), list):
+        raise ScheduleError("malformed schedule JSON: 'steps' must be a list")
     steps = []
     for idx, raw in enumerate(obj["steps"]):
         try:
@@ -179,7 +179,10 @@ def parse_schedule(data: bytes) -> Schedule:
             if isinstance(e, ScheduleError):
                 raise
             raise ScheduleError(f"step {idx}: malformed step: {e}") from e
-    seed = int(obj.get("seed", 0))
+    try:
+        seed = int(obj.get("seed", 0))
+    except (TypeError, ValueError) as e:
+        raise ScheduleError(f"malformed schedule seed: {e}") from e
     s = Schedule(steps=tuple(steps), seed=seed)
     validate_schedule(s)
     return s

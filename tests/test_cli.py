@@ -206,3 +206,55 @@ def test_config_flag_without_a_path_is_reported(capsys):
     err = capsys.readouterr().err.splitlines()
     assert code == 2
     assert len(err) == 1 and err[0].startswith("error:") and "--config" in err[0]
+
+
+@pytest.mark.parametrize("spelling", ["--config PATH", "--config=PATH"])
+def test_config_path_is_read_in_either_spelling(tmp_path, capsys, monkeypatch,
+                                                 spelling):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": {"micro.m": 1, "micro.n": 1}}))
+    flag = ["--config", str(cfg)] if spelling == "--config PATH" else [f"--config={cfg}"]
+    benches, real = [], cli.fuzz_campaign
+
+    def spy(config):
+        benches.append(config.benchmark)
+        return real(config)
+
+    monkeypatch.setattr(cli, "fuzz_campaign", spy)
+    code, _ = run_cli(capsys, "run", "--bench", "micro", *flag, "--budget", "5",
+                      "--out", str(tmp_path / "out"))
+    assert code == 0
+    assert [(b.sut.m, b.sut.n) for b in benches] == [(1, 1)]
+
+
+def test_empty_config_path_is_reported(capsys):
+    code = main(["run", "--bench", "micro", "--config="])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error:") and "--config" in err[0]
+
+
+def _replay(tmp_path, capsys, bench, steps):
+    sched = tmp_path / "schedule.json"
+    sched.write_text(json.dumps({"seed": 0, "steps": steps}))
+    code = main(["replay", "--bench", bench, "--schedule", str(sched)])
+    return code, capsys.readouterr()
+
+
+def test_replay_rejects_a_process_out_of_range(tmp_path, capsys):
+    code, cap = _replay(tmp_path, capsys, "raftlite",
+                        [{"from": 0, "to": 9, "op": "restart"}])
+    err = cap.err.splitlines()
+    assert code == 2 and not cap.out
+    assert len(err) == 1 and err[0].startswith("error:") and "0->9" in err[0]
+
+
+def test_replay_rejects_a_crash_schedule_on_micro(tmp_path, capsys):
+    code, cap = _replay(tmp_path, capsys, "micro", [
+        {"from": 0, "to": 1, "op": "crash"},
+        {"from": 0, "to": 1, "op": "restart"},
+    ])
+    err = cap.err.splitlines()
+    assert code == 2 and not cap.out
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "does not tolerate crash schedules" in err[0]

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from schedfuzz.benchmarks import build_micro, build_raftlite
+from schedfuzz import fingerprint as fp_memo
+from schedfuzz.benchmarks import build_micro, build_raftlite, build_tpc
 from schedfuzz.coverage import (
     CoverageContractError,
     EnumerationExplosion,
@@ -13,6 +14,7 @@ from schedfuzz.coverage import (
     enumerate_orderings,
     trace_fingerprint,
 )
+from schedfuzz.fingerprint import digest128, encode_canonical
 from schedfuzz.harness import ConcreteEvent, ConcreteEventTrace, execute_schedule
 from schedfuzz.mapper import map_events
 from schedfuzz.model import bfs_reachable, run_actions
@@ -135,6 +137,63 @@ def test_sparse_graph_matches_dense_reference():
         assert canonical_linearization(events) == canonical_linearization(
             events, default_dependent
         )
+
+
+def _reference_fingerprint(trace):
+    """trace_fingerprint without the event-key memo: every key encoded afresh."""
+    events = _fingerprinted(trace.events)
+    order = canonical_linearization(events, dependent=default_dependent)
+    return digest128(b"".join(
+        encode_canonical((e.kind, e.recv, -1 if e.send is None else e.send,
+                          e.verb, e.fields))
+        for e in (events[i] for i in order)
+    ))
+
+
+def _random_traces(per_bench=150):
+    """Traces of random schedules on micro, tpc and crash-heavy raftlite."""
+    micro, tpc, raft = build_micro(), build_tpc(), build_raftlite(5, 2)
+    benches = [
+        (micro, micro.gen_defaults),
+        (tpc, tpc.gen_defaults),
+        (raft, dataclasses.replace(raft.gen_defaults, crash_quota=30)),
+    ]
+    rng = random.Random(5)
+    traces = []
+    for bench, gen in benches:
+        for _ in range(per_bench):
+            schedule = generate_random_schedule(gen, rng)
+            traces.append(execute_schedule(bench.sut, schedule).trace)
+    return traces
+
+
+def test_memoised_trace_fingerprint_matches_reference():
+    traces = _random_traces()
+    assert sum(any(e.kind == "crash" for e in t.events) for t in traces) > 100
+    fp_memo.clear_cache()
+    # First pass fills the memo, second pass reads every key from it.
+    for _ in range(2):
+        for trace in traces:
+            assert trace_fingerprint(trace) == _reference_fingerprint(trace)
+    assert fp_memo._encoded
+
+
+def test_full_event_key_memo_is_emptied_and_fingerprints_hold(monkeypatch):
+    traces = _random_traces(per_bench=40)
+    expected = [_reference_fingerprint(t) for t in traces]
+    limit = 16
+    monkeypatch.setattr(fp_memo, "CACHE_LIMIT", limit)
+    fp_memo.clear_cache()
+    memo = fp_memo._encoded
+    largest = 0
+    for _ in range(2):
+        for trace, want in zip(traces, expected):
+            assert trace_fingerprint(trace) == want
+            assert len(memo) <= limit
+            largest = max(largest, len(memo))
+    assert largest == limit
+    assert fp_memo._encoded is memo
+    fp_memo.clear_cache()
 
 
 # --- assess ------------------------------------------------------------------

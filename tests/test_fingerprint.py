@@ -1,6 +1,15 @@
 import pytest
 
-from schedfuzz.fingerprint import DIGEST_SIZE, digest128, encode_canonical, fingerprint
+from schedfuzz import fingerprint as fp_memo
+from schedfuzz.coverage import trace_fingerprint
+from schedfuzz.fingerprint import (
+    DIGEST_SIZE,
+    clear_cache,
+    digest128,
+    encode_canonical,
+    fingerprint,
+)
+from schedfuzz.harness import ConcreteEvent, ConcreteEventTrace
 
 
 def test_digest_is_128_bits_and_stable():
@@ -42,3 +51,30 @@ def test_fingerprint_memo_returns_equal_values():
     v = (("x", 3), (1, 2, 3), None)
     assert fingerprint(v) == fingerprint((("x", 3), (1, 2, 3), None))
     assert fingerprint(v) == digest128(encode_canonical(v))
+
+
+def test_clear_cache_empties_both_memos_in_place():
+    cache, encoded = fp_memo._cache, fp_memo._encoded
+    fingerprint(("state", 1))
+    trace_fingerprint(ConcreteEventTrace(
+        (ConcreteEvent("deliver", 1, 0, "Execute", (("idx", 1),), 0),), ()
+    ))
+    assert cache and encoded
+    clear_cache()
+    assert not cache and not encoded
+    assert fp_memo._cache is cache and fp_memo._encoded is encoded
+
+
+def test_full_fingerprint_cache_is_emptied_and_fingerprints_hold(monkeypatch):
+    values = [("state", i, (i % 3, "x" * (i % 4))) for i in range(100)]
+    expected = [digest128(encode_canonical(v)) for v in values]
+    limit = 16
+    monkeypatch.setattr(fp_memo, "CACHE_LIMIT", limit)
+    clear_cache()
+    cache = fp_memo._cache
+    for _ in range(2):
+        for v, want in zip(values, expected):
+            assert fingerprint(v) == want
+            assert 0 < len(cache) <= limit
+    assert fp_memo._cache is cache
+    clear_cache()

@@ -102,6 +102,15 @@ def test_malformed_step_reports_index():
         )
 
 
+@pytest.mark.parametrize("data", [
+    b'{"seed":0}', b'{"seed":0,"steps":5}', b'[1]',
+    b'{"seed":null,"steps":[]}', b'{"seed":"x","steps":[]}',
+])
+def test_malformed_top_level_is_a_parse_error(data):
+    with pytest.raises(ScheduleError, match="malformed schedule"):
+        parse_schedule(data)
+
+
 def test_alternation_invariant_enforced():
     crash = ScheduleStep(BufferId(0, 1), CRASH)
     restart = ScheduleStep(BufferId(0, 1), RESTART)
