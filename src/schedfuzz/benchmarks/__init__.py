@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from ..harness import SystemUnderTest
 from ..model import Lts
-from ..schedule import DELIVER, GenParams, Schedule, ScheduleError
+from ..schedule import DELIVER, GenParams, Schedule, ScheduleError, validate_schedule
 from .micro import MicroBench, micro_model
 from .raftlite import RaftLiteBench, raftlite_model
 from .tpc import TpcBench, tpc_model
@@ -27,7 +27,9 @@ class Benchmark:
 
         A step must name one of the benchmark's buffers: an ordered pair of
         distinct processes in range, or one of its extra buffers.  Crash and
-        restart steps need a benchmark that tolerates crashes.
+        restart steps need a benchmark that tolerates crashes.  The schedule
+        must also keep the generator's limits: at most ``max_steps`` steps,
+        deliver counts up to ``max_messages_per_step`` and the crash quota.
         """
         buffers = set(self.gen_defaults.buffer_universe())
         for idx, step in enumerate(schedule.steps):
@@ -39,6 +41,7 @@ class Benchmark:
                 )
             if step.op != DELIVER and not self.sut.crashes_allowed:
                 raise ScheduleError(f"step {idx}: {NO_CRASHES.format(self.name)}")
+        validate_schedule(schedule, self.gen_defaults)
 
 
 def _gen(sut: SystemUnderTest, max_steps: int, max_messages: int, quota: int) -> GenParams:

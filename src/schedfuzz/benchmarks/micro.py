@@ -161,54 +161,52 @@ def micro_model(m: int, n: int) -> Lts:
         if name == "Register":
             (p,) = a.args
             if p in q.registered or p not in procs:
-                return ()
-            return (q._replace(registered=tuple(sorted(q.registered + (p,)))),)
+                return None
+            return q._replace(registered=tuple(sorted(q.registered + (p,))))
         if name == "Request":
             (r,) = a.args
             if r in q.requests:
-                return ()
+                return None
             if len(q.registered) == m + 1:
                 sent = list(q.dispatched)
                 sent[target - 1] = 1  # first task goes out with the grant
-                return (
-                    q._replace(requests=tuple(sorted(q.requests + (r,))),
-                               dispatched=tuple(sent)),
-                )
-            return (q,)  # dropped before the cluster is ready
+                return q._replace(requests=tuple(sorted(q.requests + (r,))),
+                                  dispatched=tuple(sent))
+            return q  # dropped before the cluster is ready
         if name == "Relay":
             w, idx = a.args
             if not q.requests or not (1 <= w <= m) or idx > n:
-                return ()
+                return None
             if q.dispatched[w - 1] != idx - 1 or q.completed[w - 1] != idx - 1:
-                return ()
+                return None
             sent = list(q.dispatched)
             sent[w - 1] = idx
-            return (q._replace(dispatched=tuple(sent)),)
+            return q._replace(dispatched=tuple(sent))
         if name == "Execute":
             w, idx = a.args
             if not q.requests or not (1 <= w <= m):
-                return ()
+                return None
             if idx != q.completed[w - 1] + 1 or idx > n or q.dispatched[w - 1] != idx:
-                return ()
+                return None
             done = list(q.completed)
             done[w - 1] = idx
             if idx < n:
                 # An intermediate task heals a flushed buffer.
                 healed = tuple(x for x in q.terminated if x != w)
-                return (q._replace(completed=tuple(done), terminated=healed),)
+                return q._replace(completed=tuple(done), terminated=healed)
             if w in q.terminated:
-                return (q,)  # final task is dropped (or dies) after a flush
-            return (q._replace(completed=tuple(done)),)
+                return q  # final task is dropped (or dies) after a flush
+            return q._replace(completed=tuple(done))
         if name == "Terminate":
             (w,) = a.args
             if not q.requests or w in q.to_terminate:
-                return ()
-            return (q._replace(to_terminate=tuple(sorted(q.to_terminate + (w,)))),)
+                return None
+            return q._replace(to_terminate=tuple(sorted(q.to_terminate + (w,))))
         if name == "Flush":
             (w,) = a.args
             if w not in q.to_terminate or w in q.terminated:
-                return ()
-            return (q._replace(terminated=tuple(sorted(q.terminated + (w,)))),)
+                return None
+            return q._replace(terminated=tuple(sorted(q.terminated + (w,))))
         raise MappingContractError(f"micro model knows no action {name!r}")
 
     def enabled(q: MicroState):
@@ -230,5 +228,5 @@ def micro_model(m: int, n: int) -> Lts:
                 acts.append(ModelAction("Flush", (w,)))
         return acts
 
-    return Lts(name="micro", initial=(initial,), step=step, enabled=enabled)
+    return Lts(name="micro", initial=initial, step=step, enabled=enabled)
 

@@ -391,63 +391,55 @@ def raftlite_model(proc_count: int) -> Lts:
         if name == "Crash":
             (p,) = a.args
             if p not in q.active:
-                return ()
-            return (q._replace(active=tuple(x for x in q.active if x != p)),)
+                return None
+            return q._replace(active=tuple(x for x in q.active if x != p))
         if name == "Restart":
             (p,) = a.args
             if p in q.active or not (0 <= p < proc_count):
-                return ()
-            return (
-                q._replace(
-                    active=tuple(sorted(q.active + (p,))),
-                    roles=_set(q.roles, p, FOLLOWER),
-                ),
+                return None
+            return q._replace(
+                active=tuple(sorted(q.active + (p,))),
+                roles=_set(q.roles, p, FOLLOWER),
             )
         # All remaining actions happen at a live process.
         p = a.args[0]
         if p not in q.active:
-            return ()
+            return None
         if name == "Timeout":
             if q.roles[p] == LEADER:
-                return (q,)  # leader ticks serve requests, modeled separately
-            return (
-                q._replace(
-                    terms=_set(q.terms, p, q.terms[p] + 1),
-                    roles=_set(q.roles, p, CANDIDATE),
-                ),
+                return q  # leader ticks serve requests, modeled separately
+            return q._replace(
+                terms=_set(q.terms, p, q.terms[p] + 1),
+                roles=_set(q.roles, p, CANDIDATE),
             )
         if name == "ElectLeader":
             _, term = a.args
-            return (
-                q._replace(roles=_set(q.roles, p, LEADER),
-                           terms=_set(q.terms, p, term)),
-            )
+            return q._replace(roles=_set(q.roles, p, LEADER),
+                              terms=_set(q.terms, p, term))
         if name == "ClientRequest":
             _, serial = a.args
             if q.roles[p] != LEADER:
-                return ()
+                return None
             entry = (q.terms[p], serial)
-            return (q._replace(logs=_set(q.logs, p, q.logs[p] + (entry,))),)
+            return q._replace(logs=_set(q.logs, p, q.logs[p] + (entry,)))
         if name in ("HandleRequestVoteRequest", "HandleRequestVoteResponse",
                     "HandleAppendEntriesResponse", "HandleNilAppendEntriesResponse"):
             term = a.args[1]
             if term > q.terms[p]:
-                return (
-                    q._replace(terms=_set(q.terms, p, term),
-                               roles=_set(q.roles, p, FOLLOWER)),
-                )
-            return (q,)
+                return q._replace(terms=_set(q.terms, p, term),
+                                  roles=_set(q.roles, p, FOLLOWER))
+            return q
         if name == "HandleAppendEntriesRequest":
             _, term, prev_idx, prev_term, entries_str, _commit = a.args
             if term < q.terms[p]:
-                return (q,)  # stale append is acknowledged but changes nothing
+                return q  # stale append is acknowledged but changes nothing
             q = q._replace(terms=_set(q.terms, p, term),
                            roles=_set(q.roles, p, FOLLOWER))
             log = q.logs[p]
             if prev_idx > len(log):
-                return (q,)
+                return q
             if prev_idx >= 1 and log[prev_idx - 1][0] != prev_term:
-                return (q,)
+                return q
             entries = parse_entries(entries_str)
             merged = list(log)
             idx = prev_idx
@@ -458,10 +450,10 @@ def raftlite_model(proc_count: int) -> Lts:
                         continue
                     del merged[idx - 1:]
                 merged.append(e)
-            return (q._replace(logs=_set(q.logs, p, tuple(merged))),)
+            return q._replace(logs=_set(q.logs, p, tuple(merged)))
         if name == "UpdateSnapshotIndex":
             _, snap = a.args
-            return (q._replace(snaps=_set(q.snaps, p, max(q.snaps[p], snap))),)
+            return q._replace(snaps=_set(q.snaps, p, max(q.snaps[p], snap)))
         raise MappingContractError(f"raftlite model knows no action {name!r}")
 
     def enabled(q: RaftState):
@@ -482,7 +474,7 @@ def raftlite_model(proc_count: int) -> Lts:
 
     return Lts(
         name="raftlite",
-        initial=(initial,),
+        initial=initial,
         step=step,
         enabled=enabled,
         abstraction=abstract_raft_states,

@@ -196,45 +196,41 @@ def tpc_model(rm_count: int, var_count: int, request_count: int) -> Lts:
         if name == "ClientRequest":
             (tx,) = a.args
             if not _valid_tx(tx) or q.tm[tx] != INIT:
-                return ()
-            return (q._replace(tm=_set(q.tm, tx, COLLECTING)),)
+                return None
+            return q._replace(tm=_set(q.tm, tx, COLLECTING))
         if name == "HandlePrepare":
             rm, tx = a.args
             if not _valid_rm(rm) or not _valid_tx(tx):
-                return ()
+                return None
             if q.tm[tx] == INIT or q.rm[rm - 1][tx] != WORKING:
-                return ()
+                return None
             locks = q.locks[rm - 1]
             needed = tx_vars(tx, var_count)
             if any(locks[v] for v in needed):
-                return (q._replace(rm=_set2(q.rm, rm - 1, tx, REFUSED)),)
+                return q._replace(rm=_set2(q.rm, rm - 1, tx, REFUSED))
             new_locks = list(locks)
             for v in needed:
                 new_locks[v] = 1
-            return (
-                q._replace(
-                    rm=_set2(q.rm, rm - 1, tx, PREPARED),
-                    locks=_set(q.locks, rm - 1, tuple(new_locks)),
-                ),
+            return q._replace(
+                rm=_set2(q.rm, rm - 1, tx, PREPARED),
+                locks=_set(q.locks, rm - 1, tuple(new_locks)),
             )
         if name == "HandleVote":
             tx, rm, granted = a.args
             if not _valid_rm(rm) or not _valid_tx(tx):
-                return ()
+                return None
             if q.rm[rm - 1][tx] == WORKING or q.tm[tx] == INIT:
-                return ()  # that RM has not voted
+                return None  # that RM has not voted
             if q.tm[tx] == COLLECTING and not granted:
-                return (
-                    q._replace(
-                        tm=_set(q.tm, tx, ABORTED),
-                        decided=tuple(sorted(q.decided + ((tx, ABORTED),))),
-                    ),
+                return q._replace(
+                    tm=_set(q.tm, tx, ABORTED),
+                    decided=tuple(sorted(q.decided + ((tx, ABORTED),))),
                 )
-            return (q,)  # tallying is invisible until a decision shows up
+            return q  # tallying is invisible until a decision shows up
         if name == "HandleDecision":
             rm, tx, commit = a.args
             if not _valid_rm(rm) or not _valid_tx(tx):
-                return ()
+                return None
             want = COMMITTED if commit else ABORTED
             tm = q.tm
             decided = q.decided
@@ -243,7 +239,7 @@ def tpc_model(rm_count: int, var_count: int, request_count: int) -> Lts:
                 tm = _set(q.tm, tx, COMMITTED)
                 decided = tuple(sorted(decided + ((tx, COMMITTED),)))
             if tm[tx] != want or q.rm[rm - 1][tx] in (COMMITTED, ABORTED):
-                return ()
+                return None
             locks = q.locks[rm - 1]
             if q.rm[rm - 1][tx] == PREPARED:
                 # release exactly this transaction's variables: no other
@@ -252,13 +248,11 @@ def tpc_model(rm_count: int, var_count: int, request_count: int) -> Lts:
                 locks = tuple(
                     0 if v in held else flag for v, flag in enumerate(locks)
                 )
-            return (
-                q._replace(
-                    tm=tm,
-                    rm=_set2(q.rm, rm - 1, tx, want),
-                    locks=_set(q.locks, rm - 1, locks),
-                    decided=decided,
-                ),
+            return q._replace(
+                tm=tm,
+                rm=_set2(q.rm, rm - 1, tx, want),
+                locks=_set(q.locks, rm - 1, locks),
+                decided=decided,
             )
         raise MappingContractError(f"tpc model knows no action {name!r}")
 
@@ -291,7 +285,7 @@ def tpc_model(rm_count: int, var_count: int, request_count: int) -> Lts:
                         acts.append(ModelAction("HandleDecision", (rm, tx, commit)))
         return acts
 
-    return Lts(name="tpc", initial=(initial,), step=step, enabled=enabled)
+    return Lts(name="tpc", initial=initial, step=step, enabled=enabled)
 
 
 def _set(t: tuple, i: int, v) -> tuple:

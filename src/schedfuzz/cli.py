@@ -225,7 +225,7 @@ def cmd_compare(args) -> int:
 def cmd_enumerate(args) -> int:
     bench = get_benchmark(args)
     res = enumerate_orderings(bench, max_depth=args.max_depth)
-    bfs = bfs_reachable(bench.lts)
+    bfs = bfs_reachable(bench.lts, depth_limit=args.max_depth)
     if args.dump_states:
         args.dump_states.write_text(
             "\n".join(sorted(fp.hex() for fp in bfs.fingerprints)) + "\n"

@@ -1,7 +1,8 @@
 """Coverage notions: model states, Mazurkiewicz traces, structural points.
 
-Each executed schedule yields a CoverageReport, a set of opaque coverage
-items under one notion.  Trace coverage canonicalizes the execution's
+Each executed schedule yields a frozenset of opaque coverage items under one
+notion: ("state", fp) from model_state_items, ("trace", fp) or
+("line", point_id) from assess.  Trace coverage canonicalizes the execution's
 dependence partial order: two executions fingerprint equally iff one can be
 turned into the other by swapping adjacent independent events.
 """
@@ -10,7 +11,6 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .fingerprint import _encoded, digest128, encode_canonical, fingerprint, remember
@@ -42,12 +42,6 @@ class EnumerationExplosion(RuntimeError):
     def __init__(self, count: int):
         super().__init__(f"ordering enumeration aborted after {count} orderings")
         self.count = count
-
-
-@dataclass(frozen=True)
-class CoverageReport:
-    items: frozenset  # ("state", fp) | ("trace", fp) | ("line", point_id)
-    notion: str
 
 
 def _touches(ev, p: int) -> bool:
@@ -147,40 +141,25 @@ def trace_fingerprint(trace: ConcreteEventTrace) -> bytes:
     return digest128(b"".join(keys[i] for i in _linearize(events, keys)))
 
 
-def model_state_items(model_run, lts=None) -> frozenset:
-    """State coverage items of a model run, after the model's abstraction."""
-    if lts is not None and lts.abstraction is not None:
-        path = []
-        for frontier in model_run.frontiers:
-            if len(frontier) != 1:
-                raise CoverageContractError(
-                    "state abstraction requires a deterministic model run"
-                )
-            path.append(frontier[0])
-        states = lts.abstraction(path)
-    else:
-        states = model_run.states
-    return frozenset(("state", fingerprint(s)) for s in states)
+def model_state_items(run, lts) -> frozenset:
+    """State coverage items of a model run: its path after the model's
+    abstraction, deduplicated and fingerprinted."""
+    path = lts.abstraction(run.path) if lts.abstraction is not None else run.path
+    return frozenset(("state", fingerprint(s)) for s in set(path))
 
 
-def assess(notion: str, exec_result: ExecutionResult, model_run=None,
-           lts=None) -> CoverageReport:
-    if notion == MODEL:
-        if model_run is None:
-            raise CoverageContractError("model-state coverage needs a model run")
-        return CoverageReport(model_state_items(model_run, lts), notion)
-    if model_run is not None:
-        raise CoverageContractError(f"notion {notion!r} takes no model run")
+def assess(notion: str, exec_result: ExecutionResult) -> frozenset:
+    """Coverage items of one execution under the trace, line or random notion."""
     if notion == TRACE:
-        return CoverageReport(
-            frozenset({("trace", trace_fingerprint(exec_result.trace))}), notion
-        )
+        return frozenset({("trace", trace_fingerprint(exec_result.trace))})
     if notion == LINE:
-        return CoverageReport(
-            frozenset(("line", p) for p in exec_result.points_hit), notion
-        )
+        return frozenset(("line", p) for p in exec_result.points_hit)
     if notion == RANDOM:
-        return CoverageReport(frozenset(), notion)
+        return frozenset()
+    if notion == MODEL:
+        raise CoverageContractError(
+            "model-state coverage needs a model run: use model_state_items(run, lts)"
+        )
     raise CoverageContractError(f"unknown coverage notion {notion!r}")
 
 
@@ -244,7 +223,8 @@ def enumerate_orderings(bench, max_depth: int,
         all_violations.update(keys)
         records.append(
             OrderingRecord(
-                deliveries, trace_fingerprint(trace), run.visited, keys,
+                deliveries, trace_fingerprint(trace),
+                frozenset(fingerprint(s) for s in run.path), keys,
                 trace.events if keep_events else (),
             )
         )

@@ -156,7 +156,6 @@ class CampaignResult:
     corpus: list = field(default_factory=list)    # entries that earned energy
     total_coverage: frozenset = frozenset()
     state_coverage: frozenset = frozenset()
-    executions: int = 0
     repopulations: int = 0
     spawned_mutants: int = 0
     queue_left: int = 0
@@ -224,7 +223,7 @@ def fuzz_campaign(config: CampaignConfig) -> CampaignResult:
             states |= state_items
         # The model notion's coverage items are the state items just computed.
         items = (state_items if config.notion == MODEL
-                 else assess(config.notion, exec_result).items)
+                 else assess(config.notion, exec_result))
 
         stop = False
         for v in exec_result.violations:
@@ -260,7 +259,6 @@ def fuzz_campaign(config: CampaignConfig) -> CampaignResult:
             break
 
     result.iterations = iteration
-    result.executions = iteration
     result.total_coverage = frozenset(total)
     result.state_coverage = frozenset(states)
     result.queue_left = len(queue)

@@ -10,8 +10,6 @@ violation, never a silent skip.
 
 from __future__ import annotations
 
-import json
-
 from .harness import (
     EV_CRASH,
     EV_DELIVER,
@@ -24,7 +22,7 @@ from .model import ModelAction
 
 
 class MapperError(ValueError):
-    """Unmappable verb or malformed trace encoding."""
+    """Unmappable verb or event."""
 
 
 def map_events(kind: str, trace: ConcreteEventTrace) -> list:
@@ -131,7 +129,7 @@ def _map_raftlite(ev: ConcreteEvent):
 _RULES = {"micro": _map_micro, "tpc": _map_tpc, "raftlite": _map_raftlite}
 
 
-# --- standard JSON event encoding ------------------------------------------
+# --- JSON event export ------------------------------------------------------
 
 def event_to_obj(ev: ConcreteEvent) -> dict:
     if ev.kind == EV_DELIVER:
@@ -146,54 +144,3 @@ def event_to_obj(ev: ConcreteEvent) -> dict:
         obj["fields"] = dict(ev.fields)
     obj["step"] = ev.step
     return obj
-
-
-def obj_to_event(obj: dict, where: str) -> ConcreteEvent:
-    try:
-        kind = obj["kind"]
-    except (TypeError, KeyError):
-        raise MapperError(f"{where}: missing 'kind'") from None
-    if kind in (EV_CRASH, EV_RESTART):
-        try:
-            return ConcreteEvent(kind, int(obj["proc"]), None, "", (), int(obj["step"]))
-        except (KeyError, TypeError, ValueError) as e:
-            raise MapperError(f"{where}: malformed {kind} event: {e}") from e
-    if kind not in (EV_DELIVER, EV_INTERNAL):
-        raise MapperError(f"{where}.kind: unknown kind {kind!r}")
-    try:
-        recv = int(obj["to"])
-        verb = obj["verb"]
-        step = int(obj["step"])
-        send = int(obj["from"]) if kind == EV_DELIVER else None
-    except (KeyError, TypeError, ValueError) as e:
-        raise MapperError(f"{where}: malformed {kind} event: {e}") from e
-    raw = obj.get("fields", {})
-    if not isinstance(raw, dict):
-        raise MapperError(f"{where}.fields: expected an object")
-    for k, v in raw.items():
-        if not isinstance(k, str) or not isinstance(v, (int, str)) or isinstance(v, bool):
-            raise MapperError(f"{where}.fields.{k}: values must be ints or strings")
-    fields = tuple(sorted(raw.items()))
-    return ConcreteEvent(kind, recv, send, verb, fields, step)
-
-
-def encode_trace_json(trace: ConcreteEventTrace) -> bytes:
-    obj = {
-        "events": [event_to_obj(e) for e in trace.events],
-        "skipped": list(trace.skipped),
-    }
-    return json.dumps(obj, separators=(",", ":")).encode()
-
-
-def decode_trace_json(data: bytes) -> ConcreteEventTrace:
-    try:
-        obj = json.loads(data)
-    except json.JSONDecodeError as e:
-        raise MapperError(f"malformed trace JSON: {e}") from e
-    if not isinstance(obj, dict) or "events" not in obj:
-        raise MapperError("trace JSON: missing 'events'")
-    events = tuple(
-        obj_to_event(raw, f"events[{i}]") for i, raw in enumerate(obj["events"])
-    )
-    skipped = tuple(int(i) for i in obj.get("skipped", ()))
-    return ConcreteEventTrace(events, skipped)

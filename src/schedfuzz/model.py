@@ -1,14 +1,13 @@
 """In-process labeled transition system interpreter.
 
 Replaces an external model checker with a controlled simulation: given a
-mapped action sequence, walk the model and report every state that could be
-visited.  The interpreter supports nondeterministic successor sets (a
-frontier per step), though the shipped protocol models are deterministic.
+mapped action sequence, step the model once per action and report the path
+of states it visits.  Mapped actions are fully parameterised, so every step
+has at most one successor.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -32,67 +31,47 @@ class StateExplosion(RuntimeError):
 
 @dataclass(frozen=True)
 class Lts:
-    """A labeled transition system <states, initial, actions, successors>.
+    """A labeled transition system <states, initial, actions, step>.
 
-    ``step(state, action) -> tuple of successors`` is a pure function; an
-    empty tuple means the action is disabled in that state.  ``enabled``
-    enumerates candidate actions for exhaustive reachability.  ``abstraction``
-    optionally post-processes a deterministic run's state path before
+    ``step(state, action)`` is a pure function returning the one successor
+    state, or None when the action is disabled in that state: the mapped
+    actions carry every argument, so each step is deterministic.  ``enabled``
+    enumerates candidate actions for exhaustive reachability.
+    ``abstraction`` optionally post-processes a run's state path before
     coverage is taken (identity when None).
     """
 
     name: str
-    initial: tuple
-    step: Callable[[object, ModelAction], tuple]
+    initial: object
+    step: Callable[[object, ModelAction], object]
     enabled: Callable[[object], list]
     abstraction: Callable[[list], list] | None = None
 
 
 class RunResult(NamedTuple):
-    states: frozenset            # every state that appeared in any frontier
-    frontiers: tuple             # frontier (tuple of states) per step, incl. initial
-    unmatched: tuple             # indices of actions disabled in the whole frontier
-
-    @property
-    def visited(self) -> frozenset:
-        """Fingerprints of the visited states."""
-        return frozenset(fingerprint(s) for s in self.states)
-
-    @property
-    def path(self) -> list:
-        """Deterministic view of the frontiers (one state per step)."""
-        return [f[0] for f in self.frontiers]
+    path: tuple       # the initial state, then the state after each action
+    unmatched: tuple  # indices of the actions the model rejected
 
 
 def run_actions(lts: Lts, actions) -> RunResult:
-    """Run a mapped action sequence on the model.
+    """Step the model along a mapped action sequence.
 
-    Maintains a frontier, initially the initial states.  An action with no
-    successor anywhere in the frontier is recorded as unmatched and skipped;
-    the frontier is left unchanged so one divergence does not poison the
-    rest of the run.  An action whose *name* the model has never heard of is
-    a mapping-contract violation and raises instead.
+    An action disabled in the current state is recorded as unmatched and
+    leaves the state unchanged, so one divergence does not poison the rest
+    of the run.  An action whose *name* the model has never heard of is a
+    mapping-contract violation and raises instead.
     """
-    frontier = tuple(lts.initial)
-    visited = set(frontier)
-    frontiers = [frontier]
+    q = lts.initial
+    path = [q]
     unmatched = []
     for idx, action in enumerate(actions):
-        nxt = []
-        seen = set()
-        for q in frontier:
-            for q2 in lts.step(q, action):
-                if q2 not in seen:
-                    seen.add(q2)
-                    nxt.append(q2)
-        if not nxt:
+        nxt = lts.step(q, action)
+        if nxt is None:
             unmatched.append(idx)
-            frontiers.append(frontier)
-            continue
-        frontier = tuple(nxt)
-        visited.update(nxt)
-        frontiers.append(frontier)
-    return RunResult(frozenset(visited), tuple(frontiers), tuple(unmatched))
+        else:
+            q = nxt
+        path.append(q)
+    return RunResult(tuple(path), tuple(unmatched))
 
 
 class BfsResult(NamedTuple):
@@ -110,21 +89,20 @@ def bfs_reachable(lts: Lts, depth_limit: int | None = None,
     """
     if depth_limit is not None and depth_limit < 0:
         raise ValueError("depth_limit must be >= 0")
-    seen = set(lts.initial)
-    frontier = deque(lts.initial)
+    seen = {lts.initial}
+    frontier = [lts.initial]
     depth = 0
     while frontier and (depth_limit is None or depth < depth_limit):
         depth += 1
-        nxt = deque()
-        while frontier:
-            q = frontier.popleft()
+        nxt = []
+        for q in frontier:
             for action in lts.enabled(q):
-                for q2 in lts.step(q, action):
-                    if q2 not in seen:
-                        seen.add(q2)
-                        if len(seen) > max_states:
-                            raise StateExplosion(len(seen))
-                        nxt.append(q2)
+                q2 = lts.step(q, action)
+                if q2 is not None and q2 not in seen:
+                    seen.add(q2)
+                    if len(seen) > max_states:
+                        raise StateExplosion(len(seen))
+                    nxt.append(q2)
         frontier = nxt
     return BfsResult(
         frozenset(seen),

@@ -126,7 +126,10 @@ def validate_schedule(s: Schedule, params: GenParams | None = None) -> None:
             if step.count < 1:
                 raise ScheduleError(f"step {idx}: deliver count must be >= 1")
             if params is not None and step.count > params.max_messages_per_step:
-                raise ScheduleError(f"step {idx}: deliver count over limit")
+                raise ScheduleError(
+                    f"step {idx}: deliver count {step.count} over the limit "
+                    f"of {params.max_messages_per_step}"
+                )
         elif step.op == CRASH:
             crashes += 1
             restarts_since_crash[step.buffer.receiver] = 0
@@ -143,9 +146,13 @@ def validate_schedule(s: Schedule, params: GenParams | None = None) -> None:
             raise ScheduleError(f"step {idx}: unknown op {step.op!r}")
     if params is not None:
         if len(s.steps) > params.max_steps:
-            raise ScheduleError("schedule longer than max_steps")
+            raise ScheduleError(
+                f"schedule has {len(s.steps)} steps, over max_steps {params.max_steps}"
+            )
         if crashes > params.crash_quota:
-            raise ScheduleError("crash quota exceeded")
+            raise ScheduleError(
+                f"schedule has {crashes} crashes, over the crash quota {params.crash_quota}"
+            )
 
 
 def serialize_schedule(s: Schedule) -> bytes:

@@ -104,7 +104,7 @@ def test_criterion_3_algorithm_fidelity():
             )
         )
         enqueued = 20 * (1 + res.repopulations) + res.spawned_mutants
-        assert res.executions + res.queue_left == enqueued
+        assert res.iterations + res.queue_left == enqueued
         last = 0
         for _, cov, _, _ in res.timeline:
             assert cov >= last

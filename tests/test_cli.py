@@ -258,3 +258,26 @@ def test_replay_rejects_a_crash_schedule_on_micro(tmp_path, capsys):
     assert code == 2 and not cap.out
     assert len(err) == 1 and err[0].startswith("error:")
     assert "does not tolerate crash schedules" in err[0]
+
+
+def test_replay_rejects_a_schedule_over_max_steps(tmp_path, capsys):
+    code, cap = _replay(tmp_path, capsys, "micro",
+                        [{"from": 1, "to": 0, "op": "deliver"}] * 61)
+    err = cap.err.splitlines()
+    assert code == 2 and not cap.out
+    assert len(err) == 1 and err[0].startswith("error:") and "max_steps 60" in err[0]
+
+
+def test_replay_rejects_a_deliver_count_over_the_limit(tmp_path, capsys):
+    code, cap = _replay(tmp_path, capsys, "micro",
+                        [{"from": 1, "to": 0, "op": "deliver", "n": 2}])
+    err = cap.err.splitlines()
+    assert code == 2 and not cap.out
+    assert len(err) == 1 and err[0].startswith("error:") and "deliver count 2" in err[0]
+
+
+def test_enumerate_bounds_the_model_bfs_by_max_depth(capsys):
+    # raftlite's terms are unbounded: an unbounded BFS never finished.
+    code, out = run_cli(capsys, "enumerate", "--bench", "raftlite", "--max-depth", "2")
+    assert code == 0
+    assert json.loads(out)["reachableStates"] == 28

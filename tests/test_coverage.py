@@ -12,6 +12,7 @@ from schedfuzz.coverage import (
     canonical_linearization,
     default_dependent,
     enumerate_orderings,
+    model_state_items,
     trace_fingerprint,
 )
 from schedfuzz.fingerprint import digest128, encode_canonical
@@ -226,50 +227,48 @@ def test_model_notion_reports_post_request_states():
         ("Register@t", "Request", "Register@w"),
     ):
         bench, result, run = _micro_exec(order)
-        shallow_items |= assess("model", result, run, bench.lts).items
+        shallow_items |= model_state_items(run, bench.lts)
     for order in (
         E5,
         ("Register@t", "Register@w", "Request", "Terminate", "Execute", "Flush"),
     ):
         bench, result, run = _micro_exec(order)
-        deep = assess("model", result, run, bench.lts).items
+        deep = model_state_items(run, bench.lts)
         assert deep - shallow_items  # the states past the served request
 
 
 def test_trace_notion_distinguishes_e1_and_e2():
     _, r1, _ = _micro_exec(("Request", "Register@w", "Register@t"))
     _, r2, _ = _micro_exec(("Register@w", "Request", "Register@t"))
-    i1 = assess("trace", r1).items
-    i2 = assess("trace", r2).items
+    i1 = assess("trace", r1)
+    i2 = assess("trace", r2)
     assert i1 != i2
 
 
 def test_random_notion_is_empty():
     _, result, _ = _micro_exec(E5)
-    assert assess("random", result).items == frozenset()
+    assert assess("random", result) == frozenset()
 
 
 def test_line_notion_reports_points():
     _, result, _ = _micro_exec(E5)
-    items = assess("line", result).items
+    items = assess("line", result)
     assert ("line", "am.request.served") in items
 
 
 def test_notion_input_contract_enforced():
-    bench, result, run = _micro_exec(E5)
-    with pytest.raises(CoverageContractError):
-        assess("model", result)  # missing model run
-    with pytest.raises(CoverageContractError):
-        assess("trace", result, run)  # extraneous model run
+    _, result, _ = _micro_exec(E5)
+    with pytest.raises(CoverageContractError, match="model_state_items"):
+        assess("model", result)  # state items need a model run
     with pytest.raises(CoverageContractError):
         assess("branch", result)
 
 
 def test_item_tags_never_collide_across_notions():
     bench, result, run = _micro_exec(E5)
-    model_items = assess("model", result, run, bench.lts).items
-    trace_items = assess("trace", result).items
-    line_items = assess("line", result).items
+    model_items = model_state_items(run, bench.lts)
+    trace_items = assess("trace", result)
+    line_items = assess("line", result)
     assert not (model_items & trace_items)
     assert not (model_items & line_items)
     assert not (trace_items & line_items)

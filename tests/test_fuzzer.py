@@ -129,7 +129,7 @@ def test_total_coverage_is_monotone():
 def test_corpus_accounting_balances_exactly():
     res = _campaign(budget=777, corpus_size=20)
     enqueued = 20 * (1 + res.repopulations) + res.spawned_mutants
-    assert res.executions + res.queue_left == enqueued
+    assert res.iterations + res.queue_left == enqueued
 
 
 def test_crash_quota_rejected_when_sut_cannot_crash():

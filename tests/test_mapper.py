@@ -4,14 +4,8 @@ import pytest
 
 from schedfuzz.benchmarks import build_micro, build_raftlite, build_tpc
 from schedfuzz.harness import ConcreteEvent, ConcreteEventTrace, execute_schedule
-from schedfuzz.mapper import (
-    MapperError,
-    decode_trace_json,
-    encode_trace_json,
-    event_to_obj,
-    map_events,
-)
-from schedfuzz.schedule import CRASH, BufferId, Schedule, ScheduleStep, generate_random_schedule
+from schedfuzz.mapper import MapperError, event_to_obj, map_events
+from schedfuzz.schedule import generate_random_schedule
 
 
 def _deliver(recv, send, verb, step=0, **fields):
@@ -69,22 +63,18 @@ def test_crash_event_json_shape():
     assert event_to_obj(ev) == {"kind": "crash", "proc": 2, "step": 17}
 
 
-def test_trace_json_round_trip_raft():
-    bench = build_raftlite(3, 2)
-    rng = random.Random(21)
-    for _ in range(40):
-        s = generate_random_schedule(bench.gen_defaults, rng)
-        trace = execute_schedule(bench.sut, s).trace
-        assert decode_trace_json(encode_trace_json(trace)) == trace
+def test_deliver_event_json_shape():
+    ev = _deliver(1, 0, "AppendEntries", step=4, term=2, entries="1:7")
+    assert event_to_obj(ev) == {
+        "kind": "deliver", "from": 0, "to": 1, "verb": "AppendEntries",
+        "fields": {"entries": "1:7", "term": 2}, "step": 4,
+    }
+    bare = _deliver(0, 2, "Flush", step=3)
+    assert event_to_obj(bare) == {"kind": "deliver", "from": 2, "to": 0, "verb": "Flush", "step": 3}
 
 
-def test_decode_unknown_kind_names_it():
-    with pytest.raises(MapperError, match="teleport"):
-        decode_trace_json(b'{"events":[{"kind":"teleport","to":1,"step":0}],"skipped":[]}')
-
-
-def test_decode_reports_json_path():
-    with pytest.raises(MapperError, match=r"events\[1\]"):
-        decode_trace_json(
-            b'{"events":[{"kind":"crash","proc":0,"step":0},{"kind":"deliver"}],"skipped":[]}'
-        )
+def test_internal_event_json_shape():
+    ev = ConcreteEvent("internal", 1, None, "LeaderElected", (("term", 3),), 8)
+    assert event_to_obj(ev) == {
+        "kind": "internal", "to": 1, "verb": "LeaderElected", "fields": {"term": 3}, "step": 8,
+    }

@@ -71,9 +71,7 @@ def test_initial_model_states_visited_by_registrations():
     empty = MicroState((), (), (0,), (0,), (), ())
     after_w = empty._replace(registered=(w,))
     after_wt = empty._replace(registered=(w, t))
-    assert empty in run.states
-    assert after_w in run.states
-    assert after_wt in run.states
+    assert run.path == (empty, after_w, after_wt)
     assert run.unmatched == ()
 
 
@@ -83,13 +81,14 @@ def test_execute_before_request_is_unmatched():
     bench = build_micro(1, 1, True)
     run = run_actions(bench.lts, [ModelAction("Execute", (1, 1))])
     assert run.unmatched == (0,)
-    assert run.states == frozenset({MicroState((), (), (0,), (0,), (), ())})
+    initial = MicroState((), (), (0,), (0,), (), ())
+    assert run.path == (initial, initial)  # a rejected action leaves the state
 
 
 def test_empty_action_list_visits_only_initial():
     bench = build_micro(1, 1, True)
     run = run_actions(bench.lts, [])
-    assert run.states == frozenset(bench.lts.initial)
+    assert run.path == (bench.lts.initial,)
     assert run.unmatched == ()
 
 

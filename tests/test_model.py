@@ -1,14 +1,15 @@
+import hashlib
 import random
 
 import pytest
 
 from schedfuzz.benchmarks import build_micro, build_raftlite, build_tpc
 from schedfuzz.benchmarks.raftlite import CANDIDATE, FOLLOWER, LEADER, RaftState
+from schedfuzz.coverage import model_state_items
 from schedfuzz.fingerprint import fingerprint
 from schedfuzz.harness import execute_schedule
 from schedfuzz.mapper import map_events
 from schedfuzz.model import (
-    Lts,
     MappingContractError,
     ModelAction,
     abstract_raft_states,
@@ -21,7 +22,7 @@ from schedfuzz.schedule import generate_random_schedule
 def test_bfs_depth_zero_is_exactly_initial():
     bench = build_micro(1, 1, True)
     res = bfs_reachable(bench.lts, depth_limit=0)
-    assert res.states == frozenset(bench.lts.initial)
+    assert res.states == frozenset({bench.lts.initial})
 
 
 def test_micro_and_tpc_fingerprints_disjoint():
@@ -44,39 +45,7 @@ def test_visited_is_subset_of_bfs_reachable():
             s = generate_random_schedule(bench.gen_defaults, rng)
             result = execute_schedule(bench.sut, s)
             run = run_actions(bench.lts, map_events(bench.name, result.trace))
-            assert run.states <= bfs_states
-
-
-def test_deterministic_models_keep_singleton_frontiers():
-    bench = build_tpc(2, 1, 2)
-    rng = random.Random(12)
-    for _ in range(50):
-        s = generate_random_schedule(bench.gen_defaults, rng)
-        result = execute_schedule(bench.sut, s)
-        run = run_actions(bench.lts, map_events("tpc", result.trace))
-        assert all(len(f) == 1 for f in run.frontiers)
-
-
-def test_nondeterministic_frontier_support():
-    # One action that forks the state, to exercise |delta(q, a)| > 1.
-    def step(q, a):
-        if a.name == "Fork":
-            return (q + "a", q + "b")
-        if a.name == "Stay":
-            return (q,)
-        return ()
-
-    lts = Lts(
-        name="fork",
-        initial=("",),
-        step=step,
-        enabled=lambda q: [ModelAction("Fork")],
-    )
-    run = run_actions(lts, [ModelAction("Fork"), ModelAction("Fork")])
-    assert len(run.frontiers[-1]) == 4
-    assert run.states == frozenset({"", "a", "b", "aa", "ab", "ba", "bb"})
-    assert run.unmatched == ()
-    assert bfs_reachable(lts, depth_limit=2).states == run.states
+            assert set(run.path) <= bfs_states
 
 
 def _raft_state(**kw):
@@ -151,3 +120,44 @@ def MicroStateFrom(**kw):
     )
     base.update(kw)
     return MicroState(**base)
+
+
+# sha256 over each run's sorted state items and unmatched indices, for 200
+# seeded random schedules per benchmark, each run forwards and reversed (the
+# reversed runs exercise unmatched actions).  Any change to the states or
+# unmatched actions the model path reports shows here.
+MODEL_PATH_PINS = {
+    "micro": ("5977b6f91a6efeba6e83d3ed3a5f30597b010b732ab719c16d6bc6d0ec9484c6", 242),
+    "tpc": ("ea418b7a2b9e023cab643b3c992d9f92175b5e582fdd2c304e4dbc07d959afd2", 8425),
+    "raftlite": ("e9216fc7646e4a164ffceaf84ccef7c30f18217ac475c11a3c1f668425d9215d", 2432),
+}
+
+
+@pytest.mark.parametrize("bench", [build_micro(), build_tpc(), build_raftlite(crash_quota=30)],
+                         ids=lambda b: b.name)
+def test_model_path_is_pinned(bench):
+    h = hashlib.sha256()
+    unmatched = 0
+    rng = random.Random(4)
+    for _ in range(200):
+        s = generate_random_schedule(bench.gen_defaults, rng)
+        actions = map_events(bench.name, execute_schedule(bench.sut, s).trace)
+        for acts in (actions, actions[::-1]):
+            run = run_actions(bench.lts, acts)
+            h.update(b"".join(fp for _, fp in sorted(model_state_items(run, bench.lts))))
+            h.update(repr(run.unmatched).encode() + b"\n")
+            unmatched += len(run.unmatched)
+    assert (h.hexdigest(), unmatched) == MODEL_PATH_PINS[bench.name]
+
+
+@pytest.mark.parametrize("bench,depth,count", [
+    (build_micro(1, 1), None, 10),
+    (build_micro(), None, 38),
+    (build_micro(), 12, 32),
+    (build_tpc(2, 1, 2), None, 238),
+    (build_raftlite(), 2, 28),
+    (build_raftlite(), 4, 228),
+    (build_raftlite(5), 3, 291),
+], ids=lambda v: getattr(v, "name", str(v)))
+def test_bfs_counts_are_pinned(bench, depth, count):
+    assert len(bfs_reachable(bench.lts, depth_limit=depth).states) == count
