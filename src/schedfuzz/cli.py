@@ -134,22 +134,20 @@ def write_timeline_csv(path: Path, timeline) -> None:
 
 
 def cmd_run(args) -> int:
-    bench = get_benchmark(args)
+    config = CampaignConfig(
+        benchmark=get_benchmark(args),
+        notion=args.notion,
+        budget=args.budget,
+        budget_seconds=args.budget_seconds,
+        master_seed=args.seed,
+        corpus_size=args.corpus_size,
+        energy_per_item=args.energy,
+        track_states=not args.no_track_states,
+        stop_on_bug=args.stop_on_bug,
+    )
     out_dir = args.out
     out_dir.mkdir(parents=True, exist_ok=True)
-    result = fuzz_campaign(
-        CampaignConfig(
-            benchmark=bench,
-            notion=args.notion,
-            budget=args.budget,
-            budget_seconds=args.budget_seconds,
-            master_seed=args.seed,
-            corpus_size=args.corpus_size,
-            energy_per_item=args.energy,
-            track_states=not args.no_track_states,
-            stop_on_bug=args.stop_on_bug,
-        )
-    )
+    result = fuzz_campaign(config)
     write_timeline_csv(out_dir / "coverage.csv", result.timeline)
     corpus_dir = out_dir / "corpus"
     corpus_dir.mkdir(exist_ok=True)

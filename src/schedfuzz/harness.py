@@ -170,7 +170,8 @@ class HandlerContext:
 
 @dataclass
 class HarnessState:
-    """Mutable execution state confined to one worker at a time."""
+    """Mutable state of one execution: ``init_state`` makes a fresh one per
+    schedule run, and the enumeration oracle clones it at each branch."""
 
     states: list
     buffers: dict = field(default_factory=dict)  # BufferId -> deque[Message]

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from schedfuzz import cli
+from schedfuzz import cli, stats
 from schedfuzz.cli import main
 
 
@@ -200,6 +200,30 @@ def test_bad_config_param_is_one_error_line(tmp_path, capsys, monkeypatch,
     argv = _command_argv(command, tmp_path) + ["--config", str(cfg)]
     _assert_one_error_line(capsys, main(argv), key)
 
+
+
+BAD_SETTINGS = [
+    ("run", ["--budget-seconds", "-1"], "budget seconds"),
+    ("run", ["--budget-seconds", "0"], "budget seconds"),
+    ("run", ["--energy", "-1"], "energy"),
+    ("compare", ["--energy", "-1"], "energy"),
+]
+
+
+@pytest.mark.parametrize("command, flags, words", BAD_SETTINGS)
+def test_bad_campaign_setting_is_one_error_line(tmp_path, capsys, monkeypatch,
+                                                command, flags, words):
+    def fail(*_):
+        raise AssertionError("a campaign ran despite a bad setting")
+
+    monkeypatch.setattr(cli, "fuzz_campaign", fail)
+    monkeypatch.setattr(stats, "fuzz_campaign", fail)
+    argv = _command_argv(command, tmp_path) + ["--bench", "micro", *flags]
+    code = main(argv)
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error:") and words in err[0]
+    assert not list((tmp_path / "out").glob("*"))
 
 def test_config_flag_without_a_path_is_reported(capsys):
     code = main(["run", "--bench", "micro", "--config"])
