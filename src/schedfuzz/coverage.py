@@ -9,6 +9,7 @@ turned into the other by swapping adjacent independent events.
 
 from __future__ import annotations
 
+import copy
 import heapq
 from collections import deque
 from typing import NamedTuple
@@ -187,14 +188,15 @@ def _clone_hs(sut, hs: HarnessState) -> HarnessState:
             for p, s in enumerate(hs.states)
         ]
     )
-    c.buffers = {b: deque(q) for b, q in hs.buffers.items() if q}
+    c.buffers = {b: deque(q) for b, q in hs.buffers.items()}
     c.alive = set(hs.alive)
-    c.persisted = dict(hs.persisted)
+    c.persisted = copy.deepcopy(hs.persisted)
     c.events = list(hs.events)
     c.skipped = list(hs.skipped)
     c.points = set(hs.points)
     c.violations = list(hs.violations)
     c.oracle = sut.clone_oracle(hs.oracle)
+    c.ready = hs.ready
     return c
 
 

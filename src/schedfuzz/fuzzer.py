@@ -5,22 +5,22 @@ configured notion, and, when the execution covered anything new, spawns
 energy-many mutants of that schedule (energy is proportional to the number
 of new items).  A mutant's mutation is drawn when its parent is assessed and
 the mutant is built when it is dequeued; a mutant equal to a schedule already
-run in the campaign still counts as an iteration but is not executed again.
-When the queue drains, a fresh random corpus is generated and the cycle
-repeats until the budget runs out.
+run in the campaign, or proved to repeat its parent's run, still counts as an
+iteration but is not executed.  When the queue drains, a fresh random corpus
+is generated and the cycle repeats until the budget runs out.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .benchmarks import NO_CRASHES, Benchmark
 from .coverage import MODEL, NOTIONS, assess, model_state_items
-from .harness import execute_schedule
+from .harness import EV_DELIVER, ExecutionResult, ReadyBits, execute_schedule
 from .mapper import map_events
 from .model import run_actions
 from .schedule import (
@@ -140,6 +140,47 @@ def build_mutant(s: Schedule, m: Mutation | None) -> Schedule:
     return Schedule(steps=tuple(steps), seed=s.seed)
 
 
+def unchanged_by(s: Schedule, run: ExecutionResult, bits: ReadyBits):
+    """A test of whether a mutation of ``s`` leaves its run ``run`` unchanged.
+
+    Proof, by ``deliver``'s loop.  The runs agree up to the first step the
+    mutation touches; deliver events carry their step's index, so a step that
+    delivers differently changes the trace for good.  SwapBuffers(i, j) of
+    distinct buffers: if neither is deliverable at the start of step i or j,
+    both steps skip in both runs; otherwise the first such step delivers from
+    different buffers.  SwapMaxMessages(i, j): with d the parent's deliver
+    events of a step, a control buffer pops one message whatever the count and
+    d = 0 is a skip, so any count keeps the step.  A step that delivered its
+    full count and left its buffer deliverable delivers more or fewer under any
+    other count.  Any other step delivered d and then found its buffer
+    undeliverable, as again under any count >= d, while fewer changes it.  Once
+    the earlier step is kept, the later one starts from the parent's state.
+    No rule covers SwapCrashProcesses or a buffer without a bit in ``bits``.
+    """
+    ready, bit, steps = run.ready, bits.bit, s.steps
+    delivered = Counter(e.step for e in run.trace.events if e.kind == EV_DELIVER)
+
+    def fits(k: int, b: int, count: int) -> bool:
+        d = delivered[k]
+        if d == 0 or b & bits.control:
+            return True
+        if d == steps[k].count and ready[k + 1] & b:
+            return count == d
+        return count >= d
+
+    def unchanged(m: Mutation) -> bool:
+        if m.kind == SWAP_CRASH_PROCESSES:
+            return False
+        bi, bj = bit.get(steps[m.i].buffer), bit.get(steps[m.j].buffer)
+        if bi is None or bj is None:
+            return False
+        if m.kind == SWAP_BUFFERS:
+            return bi == bj or not (ready[m.i] | ready[m.j]) & (bi | bj)
+        return fits(m.i, bi, steps[m.j].count) and fits(m.j, bj, steps[m.i].count)
+
+    return unchanged
+
+
 def mutate(s: Schedule, kind: str, rng: random.Random, *,
            num_processes: int) -> Schedule:
     """One small schedule change; the result always satisfies the invariants.
@@ -218,9 +259,9 @@ class CampaignResult:
     state_coverage: frozenset = frozenset()
     repopulations: int = 0
     spawned_mutants: int = 0
-    queue_left: int = 0
+    queue_left: int = 0  # spawned mutants never dequeued, queued or not
     unmatched_actions: int = 0
-    repeats: int = 0  # iterations whose mutant had already run: not executed
+    repeats: int = 0  # iterations not executed: already run or proved to repeat
 
     def first_bug_iteration(self, key_part: str) -> int | None:
         for rec in self.bug_log:
@@ -238,11 +279,13 @@ def fuzz_campaign(config: CampaignConfig) -> CampaignResult:
     total: set = set()
     states: set = set()
     seen_bugs: set = set()
+    bits = bench.sut.ready_bits
     # Schedule -> unmatched actions, for productive entries and executed
     # mutants.  Only mutants are looked up: a mutant keeps its parent's seed,
     # while every fresh schedule draws a new 64-bit one.
     executed: dict = {}
     next_id = 0
+    unqueued = 0  # spawned mutants that could never be dequeued
     deadline = (
         None if config.budget_seconds is None
         else time.monotonic() + config.budget_seconds
@@ -311,11 +354,20 @@ def fuzz_campaign(config: CampaignConfig) -> CampaignResult:
                 CorpusEntry(schedule, entry_id, parent, discovered_at, energy))
             # Mutations are drawn now, in rng order, and built when dequeued;
             # mutants join the back of the queue, FIFO after their parent.
-            summary = mutation_summary(schedule, bench.sut.process_count)
-            for _ in range(energy):
-                queue.append((schedule, draw_mutation(summary, AUTO, rng),
-                              next_id, entry_id, iteration))
-                next_id += 1
+            # Refills wait for an empty queue, so entries past the iterations
+            # left are never run: those mutants are counted, not drawn.
+            drawn = max(0, min(energy, config.budget - iteration - len(queue)))
+            if drawn:
+                summary = mutation_summary(schedule, bench.sut.process_count)
+                unchanged = unchanged_by(schedule, exec_result, bits)
+                for eid in range(next_id, next_id + drawn):
+                    m = draw_mutation(summary, AUTO, rng)
+                    # A no-op is answered by the memo with the parent's run.
+                    if m is not None and unchanged(m):
+                        m = None
+                    queue.append((schedule, m, eid, entry_id, iteration))
+            next_id += energy
+            unqueued += energy - drawn
             result.spawned_mutants += energy
             total |= new_items
         result.timeline.append((iteration, len(total), iteration, len(states)))
@@ -325,5 +377,5 @@ def fuzz_campaign(config: CampaignConfig) -> CampaignResult:
     result.iterations = iteration
     result.total_coverage = frozenset(total)
     result.state_coverage = frozenset(states)
-    result.queue_left = len(queue)
+    result.queue_left = len(queue) + unqueued
     return result

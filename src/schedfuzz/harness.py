@@ -3,9 +3,10 @@
 All messages are intercepted into per-(sender, receiver) FIFO buffers; the
 schedule alone decides what gets delivered when, and which processes crash
 or restart.  The result of a run is the concrete event trace, the structural
-coverage points hit, and any oracle verdicts.  Nothing here consults a clock
-or ambient randomness, so a (benchmark, schedule) pair always reproduces the
-same ExecutionResult bit for bit.
+coverage points hit, any oracle verdicts, and which buffers were deliverable
+at each step boundary.  Nothing here consults a clock or ambient randomness,
+so a (benchmark, schedule) pair always reproduces the same ExecutionResult
+bit for bit.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
-from .schedule import CRASH, DELIVER, RESTART, BufferId, Schedule
+from .schedule import CRASH, DELIVER, RESTART, BufferId, Schedule, buffer_universe
 
 # Event kinds (JSON-facing spellings).
 EV_DELIVER = "deliver"
@@ -88,6 +90,15 @@ class ExecutionResult:
     points_hit: frozenset
     violations: tuple
     final_states: tuple  # per-process canonical snapshot, None while crashed
+    ready: tuple  # HarnessState.ready before each step and after the last
+
+
+class ReadyBits(NamedTuple):
+    """Where each of a benchmark's buffers sits in ``HarnessState.ready``."""
+
+    bit: dict        # BufferId -> its bit, for the benchmark's buffer universe
+    receives: tuple  # process -> mask of the buffers it receives on
+    control: int     # mask of the control buffers
 
 
 class SystemUnderTest:
@@ -127,6 +138,17 @@ class SystemUnderTest:
     def snapshot(self, proc: int, state) -> tuple:
         """Canonical tuple view of a process state (for equality checks)."""
         raise NotImplementedError
+
+    @cached_property
+    def ready_bits(self) -> ReadyBits:
+        """One bit per buffer of the benchmark: process pairs, then extra buffers."""
+        universe = dict.fromkeys(buffer_universe(self.process_count, self.extra_buffers))
+        bit = {buf: 1 << n for n, buf in enumerate(universe)}
+        receives = [0] * self.process_count
+        for buf, b in bit.items():
+            receives[buf.receiver] |= b
+        control = sum(bit.get(buf, 0) for buf in self.control_buffers)
+        return ReadyBits(bit, tuple(receives), control)
 
     def oracle_init(self):
         return None
@@ -182,6 +204,9 @@ class HarnessState:
     points: set = field(default_factory=set)
     violations: list = field(default_factory=list)
     oracle: object = None
+    # One ReadyBits bit per buffer that is deliverable: its receiver is alive
+    # and it is a control buffer or holds a message.
+    ready: int = 0
 
 
 def init_state(sut: SystemUnderTest) -> HarnessState:
@@ -191,24 +216,35 @@ def init_state(sut: SystemUnderTest) -> HarnessState:
         raise HarnessError("init returned wrong number of process states")
     hs = HarnessState(states=list(states))
     hs.alive = set(range(sut.process_count))
+    bits = sut.ready_bits
+    hs.ready = bits.control
     for buf, msg in inflight:
         hs.buffers.setdefault(buf, deque()).append(msg)
+        hs.ready |= bits.bit.get(buf, 0)
     hs.oracle = sut.oracle_init()
     return hs
 
 
 def execute_schedule(sut: SystemUnderTest, schedule: Schedule) -> ExecutionResult:
     hs = init_state(sut)
+    bit = sut.ready_bits.bit
+    ready = [hs.ready]
+    record = ready.append
     for idx, step in enumerate(schedule.steps):
         buf = step.buffer
         if step.op == DELIVER:
-            deliver(sut, hs, idx, buf, step.count)
+            b = bit.get(buf)
+            if b is None or hs.ready & b:
+                deliver(sut, hs, idx, buf, step.count)
+            else:
+                hs.skipped.append(idx)  # deliver would skip it too
         elif step.op == CRASH:
             _do_crash(sut, hs, idx, buf.receiver)
         elif step.op == RESTART:
             _do_restart(sut, hs, idx, buf.receiver)
         else:
             raise HarnessError(f"unknown op {step.op!r}")
+        record(hs.ready)
 
     final = tuple(
         sut.snapshot(p, hs.states[p]) if p in hs.alive else None
@@ -219,6 +255,7 @@ def execute_schedule(sut: SystemUnderTest, schedule: Schedule) -> ExecutionResul
         points_hit=frozenset(hs.points),
         violations=tuple(hs.violations),
         final_states=final,
+        ready=tuple(ready),
     )
 
 
@@ -256,7 +293,13 @@ def _end_turn(sut, hs, idx, proc, event, ctx) -> None:
     for verb, fields in ctx.internals:
         turn_events.append(ConcreteEvent(EV_INTERNAL, proc, None, verb, fields, idx))
     for dest, out in ctx.outbox:
-        hs.buffers.setdefault(BufferId(proc, dest), deque()).append(out)
+        buf = BufferId(proc, dest)
+        q = hs.buffers.get(buf)
+        if q is None:
+            q = hs.buffers[buf] = deque()
+        if not q and dest in hs.alive:
+            hs.ready |= sut.ready_bits.bit.get(buf, 0)
+        q.append(out)
     hs.events.extend(turn_events)
     for ev in turn_events:
         _observe(sut, hs, ev)
@@ -285,7 +328,10 @@ def deliver(sut: SystemUnderTest, hs: HarnessState, idx: int, buf: BufferId,
     for _ in range(count):
         if not q or receiver not in hs.alive:
             break
-        _run_handler(sut, hs, idx, receiver, buf.sender, q.popleft())
+        msg = q.popleft()
+        if not q:
+            hs.ready &= ~sut.ready_bits.bit.get(buf, 0)
+        _run_handler(sut, hs, idx, receiver, buf.sender, msg)
 
 
 def _kill(sut, hs, proc) -> None:
@@ -293,6 +339,7 @@ def _kill(sut, hs, proc) -> None:
     hs.persisted[proc] = sut.persistent_state(proc, hs.states[proc])
     hs.states[proc] = None
     hs.alive.discard(proc)
+    hs.ready &= ~sut.ready_bits.receives[proc]
     for buf in list(hs.buffers):
         if buf.receiver == proc:
             del hs.buffers[buf]
@@ -315,6 +362,12 @@ def _do_restart(sut, hs, idx, proc) -> None:
     ctx = HandlerContext()
     hs.states[proc] = sut.recover(proc, hs.persisted.pop(proc), ctx)
     hs.alive.add(proc)
+    # Messages sent to proc while it was down wait in its buffers again.
+    bits = sut.ready_bits
+    hs.ready |= bits.control & bits.receives[proc]
+    for buf, q in hs.buffers.items():
+        if q and buf.receiver == proc:
+            hs.ready |= bits.bit.get(buf, 0)
     _end_turn(sut, hs, idx, proc, ConcreteEvent(EV_RESTART, proc, None, "", (), idx), ctx)
 
 

@@ -53,14 +53,16 @@ class GenParams:
     extra_buffers: tuple[BufferId, ...] = ()
 
     def buffer_universe(self) -> list[BufferId]:
-        pairs = [
-            BufferId(i, j)
-            for i in range(self.num_processes)
-            for j in range(self.num_processes)
-            if i != j
-        ]
-        pairs.extend(self.extra_buffers)
-        return pairs
+        return buffer_universe(self.num_processes, self.extra_buffers)
+
+
+def buffer_universe(num_processes: int, extra_buffers=()) -> list[BufferId]:
+    """Every ordered pair of distinct processes, then the extra buffers."""
+    pairs = [
+        BufferId(i, j) for i in range(num_processes) for j in range(num_processes) if i != j
+    ]
+    pairs.extend(extra_buffers)
+    return pairs
 
 
 def generate_random_schedule(params: GenParams, rng: random.Random) -> Schedule:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable
 
+from .coverage import NOTIONS
 from .fuzzer import CampaignConfig, fuzz_campaign
 
 EXACT_LIMIT = 20  # enumerate rank assignments up to this pooled size
@@ -139,6 +140,11 @@ def compare_strategies(config: CompareConfig) -> ComparisonResult:
     """Run every notion `runs` times on independent derived seeds."""
     if config.runs < 2:
         raise ValueError("need at least 2 runs to compare")
+    if not config.notions or len(set(config.notions)) < len(config.notions):
+        raise ValueError(f"need distinct notions to compare, got {list(config.notions)}")
+    for n in config.notions:
+        if n not in NOTIONS:
+            raise ValueError(f"unknown notion {n!r}")
     out = ComparisonResult(tuple(config.notions), config.runs, config.budget)
     for notion in config.notions:
         states_v, cov_v, bug_v = [], [], []

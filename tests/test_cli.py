@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from schedfuzz import cli, stats
+from schedfuzz import cli, fuzzer, stats
 from schedfuzz.cli import main
 
 
@@ -60,6 +60,23 @@ def test_run_writes_outputs(tmp_path, capsys):
     assert sorted(Path(rec["file"]) for rec in index) == files
     assert len({rec["discovered_at"] for rec in index}) < len(index)
     assert {"entry_id", "parent", "discovered_at", "file"} == set(index[0])
+
+
+def test_run_summary_counts_the_repeats(tmp_path, capsys, monkeypatch):
+    runs = []
+
+    def counting(sut, schedule):
+        runs.append(schedule)
+        return execute(sut, schedule)
+
+    execute = fuzzer.execute_schedule
+    monkeypatch.setattr(fuzzer, "execute_schedule", counting)
+    code, out = run_cli(capsys, "run", "--bench", "micro", "--budget", "300",
+                        "--seed", "3", "--out", str(tmp_path / "o"))
+    assert code == 0
+    summary = json.loads(out)
+    assert summary["repeats"] > 0
+    assert summary["iterations"] - summary["repeats"] == len(runs)
 
 
 def test_replay_round_trips_a_bug_schedule(tmp_path, capsys):
@@ -139,6 +156,22 @@ def test_unknown_notion_is_reported(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "psychic" in err
+
+
+@pytest.mark.parametrize("notions", ["model,model", ","])
+def test_compare_rejects_an_empty_or_repeated_notion_list(tmp_path, capsys,
+                                                          monkeypatch, notions):
+    def fail(*_):
+        raise AssertionError("a campaign ran despite a bad notion list")
+
+    monkeypatch.setattr(stats, "fuzz_campaign", fail)
+    out_dir = tmp_path / "o"
+    code = main(["compare", "--bench", "micro", "--notions", notions,
+                 "--runs", "2", "--budget", "20", "--out", str(out_dir)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not list(out_dir.glob("*.csv")) and not (out_dir / "stats.json").exists()
 
 
 BAD_PARAMS = [

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from collections import deque
 
 import pytest
 
@@ -8,6 +9,7 @@ from schedfuzz.benchmarks import build_micro, build_raftlite, build_tpc
 from schedfuzz.coverage import (
     CoverageContractError,
     EnumerationExplosion,
+    _clone_hs,
     assess,
     canonical_linearization,
     default_dependent,
@@ -16,10 +18,20 @@ from schedfuzz.coverage import (
     trace_fingerprint,
 )
 from schedfuzz.fingerprint import digest128, encode_canonical
-from schedfuzz.harness import ConcreteEvent, ConcreteEventTrace, execute_schedule
+from schedfuzz.harness import (
+    ConcreteEvent,
+    ConcreteEventTrace,
+    HarnessState,
+    _do_crash,
+    _do_restart,
+    deliver,
+    execute_schedule,
+    init_state,
+)
 from schedfuzz.mapper import map_events
 from schedfuzz.model import bfs_reachable, run_actions
 from schedfuzz.schedule import (
+    CRASH,
     BufferId,
     DELIVER,
     Schedule,
@@ -296,3 +308,50 @@ def test_strictly_sequential_system_has_one_ordering():
     res = enumerate_orderings(build_tpc(1, 1, 1), max_depth=8)
     assert res.orderings == 1
     assert res.trace_classes == 1
+
+
+def _mutable_ids(value, out):
+    """Add the ids of every list, dict, set and deque reachable from ``value``."""
+    if isinstance(value, (list, dict, set, deque)):
+        out.add(id(value))
+    if isinstance(value, dict):
+        value = list(value.items())
+    if isinstance(value, (list, set, deque, tuple)):
+        for v in value:
+            _mutable_ids(v, out)
+    return out
+
+
+def test_clone_copies_every_harness_field():
+    raft = build_raftlite(5, 2, quorum_bug=True, crash_quota=30)
+    rng = random.Random(3)
+    # Random crash schedules, sampled every tenth step, and micro's assertion
+    # bug (Flush overtakes the last task), whose violation kills a process.
+    runs = [(raft.sut, generate_random_schedule(raft.gen_defaults, rng), 10)
+            for _ in range(30)]
+    flush_first = Schedule(tuple(
+        ScheduleStep(BufferId(a, b), DELIVER, 1)
+        for a, b in ((2, 0), (1, 0), (0, 0), (0, 2), (2, 1), (0, 1))))
+    runs.append((build_micro(1, 1, True).sut, flush_first, 1))
+    seen = set()
+    for sut, s, every in runs:
+        hs = init_state(sut)
+        for idx, step in enumerate(s.steps):
+            if step.op == DELIVER:
+                deliver(sut, hs, idx, step.buffer, step.count)
+            else:
+                (_do_crash if step.op == CRASH else _do_restart)(
+                    sut, hs, idx, step.buffer.receiver)
+            if idx % every:
+                continue
+            clone = _clone_hs(sut, hs)
+            for f in dataclasses.fields(HarnessState):
+                mine, theirs = getattr(clone, f.name), getattr(hs, f.name)
+                assert mine == theirs, f.name
+                assert not _mutable_ids(mine, set()) & _mutable_ids(theirs, set()), f.name
+                if mine:
+                    seen.add(f.name)
+            if any(not q for q in hs.buffers.values()):
+                seen.add("empty buffer")
+    # Every field was checked holding something, empty buffers included.
+    assert seen == {f.name for f in dataclasses.fields(HarnessState)} | {"empty buffer"}

@@ -1,7 +1,7 @@
 import dataclasses
 import hashlib
 import random
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
@@ -21,13 +21,22 @@ from schedfuzz.fuzzer import (
     fuzz_campaign,
     mutate,
     mutation_summary,
+    unchanged_by,
 )
-from schedfuzz.harness import execute_schedule
+from schedfuzz.harness import (
+    ConcreteEventTrace,
+    _do_crash,
+    _do_restart,
+    deliver,
+    execute_schedule,
+    init_state,
+)
 from schedfuzz.mapper import map_events
 from schedfuzz.model import run_actions
 from schedfuzz.schedule import (
     CRASH,
     DELIVER,
+    RESTART,
     BufferId,
     GenParams,
     Schedule,
@@ -335,3 +344,79 @@ def test_a_repeated_schedule_still_counts_its_unmatched_actions():
     assert len(schedules) == res.iterations
     assert repeated > 0 and res.repeats > 0
     assert res.unmatched_actions == sum(map(unmatched, schedules))
+
+
+# --- mutants predicted to repeat their parent's run ---------------------------
+
+def _drawn_pairs(bench, pairs=1000):
+    """``pairs`` random (schedule, drawn mutation) pairs; no-op draws skipped."""
+    rng = random.Random(23)
+    out = []
+    while len(out) < pairs:
+        s = generate_random_schedule(bench.gen_defaults, rng)
+        m = draw_mutation(mutation_summary(s, bench.sut.process_count), AUTO, rng)
+        if m is not None:
+            out.append((s, m))
+    return out
+
+
+@pytest.mark.parametrize("name", list(MUTATE_BENCHES))
+def test_predicted_mutants_run_exactly_like_their_parent(name):
+    bench = MUTATE_BENCHES[name]()
+    sut = bench.sut
+    outcomes = Counter()
+    for s, m in _drawn_pairs(bench):
+        run = execute_schedule(sut, s)
+        predicted = unchanged_by(s, run, sut.ready_bits)(m)
+        same = execute_schedule(sut, build_mutant(s, m)) == run
+        # The reference is executing the mutant: a prediction is never wrong,
+        # and the swaps of deliver steps miss no unchanged run.
+        assert same or not predicted
+        if m.kind != SWAP_CRASH_PROCESSES:
+            assert predicted == same, m
+        outcomes[m.kind, same] += 1
+    assert outcomes[SWAP_BUFFERS, True] > 0 and outcomes[SWAP_BUFFERS, False] > 0
+    if name != "micro":  # micro delivers one message per step: no count swaps
+        assert outcomes[SWAP_MAX_MESSAGES, True] > 0
+        assert outcomes[SWAP_MAX_MESSAGES, False] > 0
+
+
+@pytest.mark.parametrize("name", list(MUTATE_BENCHES))
+def test_recorded_ready_masks_match_a_recount(name):
+    bench = MUTATE_BENCHES[name]()
+    sut = bench.sut
+    bit = sut.ready_bits.bit
+
+    def recount(hs):
+        return sum(b for buf, b in bit.items() if buf.receiver in hs.alive
+                   and (buf in sut.control_buffers or hs.buffers.get(buf)))
+
+    ops = {CRASH: _do_crash, RESTART: _do_restart}
+    for s, _ in _drawn_pairs(bench):
+        # Reference loop: deliver makes its own skip checks, never reading the mask.
+        hs = init_state(sut)
+        masks = [recount(hs)]
+        for idx, step in enumerate(s.steps):
+            if step.op == DELIVER:
+                deliver(sut, hs, idx, step.buffer, step.count)
+            else:
+                ops[step.op](sut, hs, idx, step.buffer.receiver)
+            masks.append(recount(hs))
+        run = execute_schedule(sut, s)
+        assert run.ready == tuple(masks)
+        assert run.trace == ConcreteEventTrace(tuple(hs.events), tuple(hs.skipped))
+
+
+def test_mutations_are_drawn_only_for_iterations_left(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return draw_mutation(*args)
+
+    monkeypatch.setattr(fuzzer, "draw_mutation", counting)
+    budget = 300
+    res = _campaign(bench=build_raftlite(5, 2, quorum_bug=True), budget=budget, seed=2)
+    assert res.iterations == budget
+    assert res.spawned_mutants > 2 * budget
+    assert len(calls) <= budget
