@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from ..harness import Message, SystemUnderTest, make_message
-from ..model import Lts, MappingContractError, ModelAction, abstract_raft_states
+from ..model import Lts, MappingContractError, ModelAction, merge_terms
 from ..schedule import BufferId
 
 FOLLOWER, CANDIDATE, LEADER = 0, 1, 2
@@ -387,59 +387,53 @@ def raftlite_model(proc_count: int) -> Lts:
     )
 
     def step(q: RaftState, a: ModelAction):
-        name = a.name
+        terms, roles, logs, snaps, active = q
+        name, args = a
         if name == "Crash":
-            (p,) = a.args
-            if p not in q.active:
+            (p,) = args
+            if p not in active:
                 return None
-            return q._replace(active=tuple(x for x in q.active if x != p))
+            return RaftState(terms, roles, logs, snaps, tuple(x for x in active if x != p))
         if name == "Restart":
-            (p,) = a.args
-            if p in q.active or not (0 <= p < proc_count):
+            (p,) = args
+            if p in active or not (0 <= p < proc_count):
                 return None
-            return q._replace(
-                active=tuple(sorted(q.active + (p,))),
-                roles=_set(q.roles, p, FOLLOWER),
-            )
+            return RaftState(terms, _set(roles, p, FOLLOWER), logs, snaps,
+                             tuple(sorted(active + (p,))))
         # All remaining actions happen at a live process.
-        p = a.args[0]
-        if p not in q.active:
+        p = args[0]
+        if p not in active:
             return None
         if name == "Timeout":
-            if q.roles[p] == LEADER:
+            if roles[p] == LEADER:
                 return q  # leader ticks serve requests, modeled separately
-            return q._replace(
-                terms=_set(q.terms, p, q.terms[p] + 1),
-                roles=_set(q.roles, p, CANDIDATE),
-            )
+            return RaftState(_set(terms, p, terms[p] + 1), _set(roles, p, CANDIDATE),
+                             logs, snaps, active)
         if name == "ElectLeader":
-            _, term = a.args
-            return q._replace(roles=_set(q.roles, p, LEADER),
-                              terms=_set(q.terms, p, term))
+            _, term = args
+            return RaftState(_set(terms, p, term), _set(roles, p, LEADER),
+                             logs, snaps, active)
         if name == "ClientRequest":
-            _, serial = a.args
-            if q.roles[p] != LEADER:
+            _, serial = args
+            if roles[p] != LEADER:
                 return None
-            entry = (q.terms[p], serial)
-            return q._replace(logs=_set(q.logs, p, q.logs[p] + (entry,)))
+            entry = (terms[p], serial)
+            return RaftState(terms, roles, _set(logs, p, logs[p] + (entry,)), snaps, active)
         if name in ("HandleRequestVoteRequest", "HandleRequestVoteResponse",
                     "HandleAppendEntriesResponse", "HandleNilAppendEntriesResponse"):
-            term = a.args[1]
-            if term > q.terms[p]:
-                return q._replace(terms=_set(q.terms, p, term),
-                                  roles=_set(q.roles, p, FOLLOWER))
+            term = args[1]
+            if term > terms[p]:
+                return RaftState(_set(terms, p, term), _set(roles, p, FOLLOWER),
+                                 logs, snaps, active)
             return q
         if name == "HandleAppendEntriesRequest":
-            _, term, prev_idx, prev_term, entries_str, _commit = a.args
-            if term < q.terms[p]:
+            _, term, prev_idx, prev_term, entries_str, _commit = args
+            if term < terms[p]:
                 return q  # stale append is acknowledged but changes nothing
-            q = q._replace(terms=_set(q.terms, p, term),
-                           roles=_set(q.roles, p, FOLLOWER))
-            log = q.logs[p]
-            if prev_idx > len(log):
-                return q
-            if prev_idx >= 1 and log[prev_idx - 1][0] != prev_term:
-                return q
+            terms, roles = _set(terms, p, term), _set(roles, p, FOLLOWER)
+            log = logs[p]
+            if prev_idx > len(log) or prev_idx >= 1 and log[prev_idx - 1][0] != prev_term:
+                return RaftState(terms, roles, logs, snaps, active)
             entries = parse_entries(entries_str)
             merged = list(log)
             idx = prev_idx
@@ -450,10 +444,11 @@ def raftlite_model(proc_count: int) -> Lts:
                         continue
                     del merged[idx - 1:]
                 merged.append(e)
-            return q._replace(logs=_set(q.logs, p, tuple(merged)))
+            return RaftState(terms, roles, _set(logs, p, tuple(merged)), snaps, active)
         if name == "UpdateSnapshotIndex":
-            _, snap = a.args
-            return q._replace(snaps=_set(q.snaps, p, max(q.snaps[p], snap)))
+            _, snap = args
+            return RaftState(terms, roles, logs, _set(snaps, p, max(snaps[p], snap)),
+                             active)
         raise MappingContractError(f"raftlite model knows no action {name!r}")
 
     def enabled(q: RaftState):
@@ -477,7 +472,7 @@ def raftlite_model(proc_count: int) -> Lts:
         initial=initial,
         step=step,
         enabled=enabled,
-        abstraction=abstract_raft_states,
+        merges=merge_terms,
     )
 
 

@@ -1,9 +1,9 @@
 """Command-line front end: run campaigns, compare strategies, enumerate, replay.
 
-A JSON config file mirrors the flags (its values become defaults, so
-explicit flags win).  Benchmark parameters travel as dotted keys
-(micro.m=2, raft.procs=5, ...), via repeated --param flags or a "params"
-object in the config file.
+A JSON config file mirrors the command's flags, with values of their JSON
+types; its values become defaults, so explicit flags win.  Benchmark
+parameters travel as dotted keys (micro.m=2, raft.procs=5, ...), via repeated
+--param flags or a "params" object in the config file.
 """
 
 from __future__ import annotations
@@ -22,14 +22,19 @@ from .model import bfs_reachable
 from .schedule import parse_schedule, serialize_schedule
 from .stats import CompareConfig, compare_strategies
 
+# The JSON types a config value may have, by the argparse type of its flag.
+_JSON_TYPES = {int: (int,), float: (int, float), None: (str,), Path: (str,)}
+
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         cfg = _peek_config(argv)
-        parser = build_parser(cfg)
-        args = parser.parse_args(argv)
-        args.param = [f"{k}={v}" for k, v in cfg.get("params", {}).items()] + args.param
+        params = cfg.pop("params", {})
+        args = build_parser(cfg).parse_args(argv)
+        if args.unknown_config:
+            raise ValueError(f"config keys {args.unknown_config} name no {args.command} flag")
+        args.param = [f"{k}={v}" for k, v in params.items()] + args.param
         return args.func(args)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
@@ -50,54 +55,48 @@ def _peek_config(argv) -> dict:
     if not path:
         raise ValueError("--config needs a file path")
     cfg = json.loads(Path(path).read_text())
-    if not isinstance(cfg, dict):
-        raise ValueError("config file must hold a JSON object")
+    if not isinstance(cfg, dict) or not isinstance(cfg.get("params", {}), dict):
+        raise ValueError("config file and its 'params' must each hold a JSON object")
     return cfg
 
 
-def build_parser(cfg: dict | None = None) -> argparse.ArgumentParser:
-    cfg = cfg or {}
+def build_parser(cfg: dict) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="schedfuzz")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--bench", choices=list(BENCHMARKS),
-                       default=cfg.get("bench"))
+        p.add_argument("--bench", choices=list(BENCHMARKS))
         p.add_argument("--param", action="append", default=[],
                        metavar="KEY=VALUE", help="benchmark parameter, dotted key")
         p.add_argument("--config", type=Path, help="JSON config file")
 
     def campaign_flags(p):
-        p.add_argument("--budget", type=int, default=cfg.get("budget", 1000))
-        p.add_argument("--seed", type=int, default=cfg.get("seed", 0))
-        p.add_argument("--corpus-size", type=int, default=cfg.get("corpus-size", 20))
-        p.add_argument("--energy", type=int, default=cfg.get("energy", 5))
-        p.add_argument("--no-track-states", action="store_true",
-                       default=cfg.get("no-track-states", False))
-        p.add_argument("--stop-on-bug", metavar="KEYPART",
-                       default=cfg.get("stop-on-bug"))
-        p.add_argument("--out", type=Path, required="out" not in cfg,
-                       default=cfg.get("out") and Path(cfg["out"]))
+        p.add_argument("--budget", type=int, default=1000)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--corpus-size", type=int, default=20)
+        p.add_argument("--energy", type=int, default=5)
+        p.add_argument("--no-track-states", action="store_true")
+        p.add_argument("--stop-on-bug", metavar="KEYPART")
+        p.add_argument("--out", type=Path, required=True)
 
     p_run = sub.add_parser("run", help="one fuzzing campaign")
     common(p_run)
-    p_run.add_argument("--notion", choices=NOTIONS, default=cfg.get("notion", "model"))
-    p_run.add_argument("--budget-seconds", type=float,
-                       default=cfg.get("budget-seconds"))
+    p_run.add_argument("--notion", choices=NOTIONS, default="model")
+    p_run.add_argument("--budget-seconds", type=float)
     campaign_flags(p_run)
     p_run.set_defaults(func=cmd_run)
 
     p_cmp = sub.add_parser("compare", help="multi-seed strategy comparison")
     common(p_cmp)
-    p_cmp.add_argument("--notions", default=cfg.get("notions", "model,random"),
+    p_cmp.add_argument("--notions", default="model,random",
                        help="comma-separated coverage notions")
-    p_cmp.add_argument("--runs", type=int, default=cfg.get("runs", 10))
+    p_cmp.add_argument("--runs", type=int, default=10)
     campaign_flags(p_cmp)
     p_cmp.set_defaults(func=cmd_compare)
 
     p_enum = sub.add_parser("enumerate", help="exhaustive small-instance oracle")
     common(p_enum)
-    p_enum.add_argument("--max-depth", type=int, default=cfg.get("max-depth", 12))
+    p_enum.add_argument("--max-depth", type=int, default=12)
     p_enum.add_argument("--dump-states", type=Path, default=None,
                         help="write reachable state fingerprints (hex) here")
     p_enum.set_defaults(func=cmd_enumerate)
@@ -107,7 +106,27 @@ def build_parser(cfg: dict | None = None) -> argparse.ArgumentParser:
     p_rep.add_argument("--schedule", type=Path, required=True)
     p_rep.add_argument("--json-out", type=Path, default=None)
     p_rep.set_defaults(func=cmd_replay)
+    for p in sub.choices.values():
+        p.set_defaults(unknown_config=_config_defaults(p, cfg))
     return parser
+
+
+def _config_defaults(p: argparse.ArgumentParser, cfg: dict) -> list:
+    """Make each config value the default of ``p``'s flag of that name and
+    return the keys that name none; a value of the wrong JSON type is an error."""
+    unknown = []
+    for key, value in cfg.items():
+        action = p._option_string_actions.get("--" + key)
+        if action is None or action.dest in ("help", "config", "param"):
+            unknown.append(key)
+            continue
+        want = (bool,) if action.nargs == 0 else _JSON_TYPES[action.type]
+        if type(value) not in want:
+            raise ValueError(f"config key {key!r} needs a JSON {want[-1].__name__}, "
+                             f"got {json.dumps(value)}")
+        action.default = action.type(value) if action.type else value
+        action.required = False
+    return unknown
 
 
 def parse_params(args) -> dict:

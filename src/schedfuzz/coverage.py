@@ -144,9 +144,14 @@ def trace_fingerprint(trace: ConcreteEventTrace) -> bytes:
 
 def model_state_items(run, lts) -> frozenset:
     """State coverage items of a model run: its path after the model's
-    abstraction, deduplicated and fingerprinted."""
-    path = lts.abstraction(run.path) if lts.abstraction is not None else run.path
-    return frozenset(("state", fingerprint(s)) for s in set(path))
+    abstraction (``lts.merges``), deduplicated and fingerprinted in one pass."""
+    merges, cur = lts.merges, run.path[0]
+    items = {("state", fingerprint(cur))}
+    for prev, state in zip(run.path, run.path[1:]):
+        if state is not prev and not (merges and merges(cur, state)):
+            cur = state
+            items.add(("state", fingerprint(cur)))
+    return frozenset(items)
 
 
 def assess(notion: str, exec_result: ExecutionResult) -> frozenset:

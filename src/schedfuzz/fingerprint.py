@@ -4,6 +4,9 @@ Model states, trace words, and coverage items are all reduced to nested
 tuples of ints/strings/bytes/bools/None before hashing, so fingerprints are
 identical across runs, processes, and platforms.  The digest is keyed
 blake2b; the key is fixed so two hosts agree on every fingerprint.
+The memos are keyed by value, and Python equates 1, True and 1.0, which
+encode differently or not at all: so model states, mapped actions and message
+fields hold no bool or float.
 """
 
 from __future__ import annotations
@@ -16,12 +19,14 @@ _KEY = b"schedfuzz-fp-v1\x00"
 # Memos: states and trace events recur constantly during a campaign, and the
 # encode+digest cost dominates coverage accounting without them.  _cache maps
 # a canonical value to its fingerprint; _encoded maps a trace event's key
-# value to its encoding (filled by coverage).  A memo that reaches
+# value to its encoding (filled by coverage); _parts maps a tuple item to its
+# encoding, so a new state encodes only its new items.  A memo that reaches
 # CACHE_LIMIT entries is emptied in place, so memory stays bounded across
-# the campaigns of one process; callers may hold references to either dict.
+# the campaigns of one process; callers may hold references to any of them.
 CACHE_LIMIT = 1 << 16
 _cache: dict[object, bytes] = {}
 _encoded: dict[object, bytes] = {}
+_parts: dict[object, bytes] = {}
 
 
 def encode_canonical(value) -> bytes:
@@ -76,13 +81,15 @@ def fingerprint(value) -> bytes:
     ~10**7 distinct values, the guard ceiling used by the state enumeration
     oracles.
     """
-    try:
-        return _cache[value]
-    except KeyError:
+    fp = _cache.get(value)
+    if fp is not None:
+        return fp
+    if not isinstance(value, tuple):
         return remember(_cache, value, digest128(encode_canonical(value)))
-    except TypeError:
-        # Unhashable (should not happen for canonical values); don't cache.
-        return digest128(encode_canonical(value))
+    # _encode's bytes for a tuple, built from its items' memoised encodings.
+    parts = [_parts.get(item) or remember(_parts, item, encode_canonical(item))
+             for item in value]
+    return remember(_cache, value, digest128(b"(" + b"".join(parts) + b")"))
 
 
 def remember(memo: dict, key, value):
@@ -94,6 +101,7 @@ def remember(memo: dict, key, value):
 
 
 def clear_cache() -> None:
-    """Empty both memos in place."""
+    """Empty the three memos in place."""
     _cache.clear()
     _encoded.clear()
+    _parts.clear()

@@ -37,15 +37,15 @@ class Lts:
     state, or None when the action is disabled in that state: the mapped
     actions carry every argument, so each step is deterministic.  ``enabled``
     enumerates candidate actions for exhaustive reachability.
-    ``abstraction`` optionally post-processes a run's state path before
-    coverage is taken (identity when None).
+    ``merges(prev, state)``, when set, abstracts state paths for coverage: a
+    state it merges into the abstracted state before it counts as that one.
     """
 
     name: str
     initial: object
     step: Callable[[object, ModelAction], object]
     enabled: Callable[[object], list]
-    abstraction: Callable[[list], list] | None = None
+    merges: Callable[[object, object], bool] | None = None
 
 
 class RunResult(NamedTuple):
@@ -111,31 +111,22 @@ def bfs_reachable(lts: Lts, depth_limit: int | None = None,
     )
 
 
-def abstract_raft_states(path: list) -> list:
-    """Collapse term-number churn of non-leaders along a state path.
-
-    Two consecutive states that are identical except for the current-term
-    values of processes that are not leaders merge: the later state is
-    replaced by the earlier one.  Leaders' terms are never abstracted away.
-    Output length equals input length; duplicates collapse under set
-    semantics downstream.  Idempotent.
-    """
-    if not path:
-        return []
-    out = [path[0]]
+def abstract_raft_states(path) -> list:
+    """A state path as coverage sees it: each state that merge_terms merges
+    into the state before it on the output is replaced by that state."""
+    out = list(path[:1])
     for state in path[1:]:
-        prev = out[-1]
-        out.append(prev if _merge_terms(prev, state) else state)
+        out.append(out[-1] if merge_terms(out[-1], state) else state)
     return out
 
 
-def _merge_terms(a, b) -> bool:
+def merge_terms(a, b) -> bool:
+    """Whether raft state ``b`` merges into ``a``: the two differ only in the
+    current terms of processes that are not leaders (term-number churn)."""
     if a is b:
         return True
-    if type(a) is not type(b):
-        return False
-    # Raft model states expose terms/roles plus the remaining fields.
-    if a._replace(terms=b.terms) != b:
+    if (type(a) is not type(b) or a.roles != b.roles or a.logs != b.logs
+            or a.snaps != b.snaps or a.active != b.active):
         return False
     leader = 2  # role code for leaders, see benchmarks.raftlite.LEADER
     for ta, tb, role in zip(a.terms, b.terms, a.roles):

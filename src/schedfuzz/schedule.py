@@ -178,20 +178,22 @@ def parse_schedule(data: bytes) -> Schedule:
     steps = []
     for idx, raw in enumerate(obj["steps"]):
         try:
+            if not isinstance(raw, dict) or raw.keys() - {"from", "to", "op", "n"}:
+                raise ScheduleError(f"step {idx}: malformed step {json.dumps(raw)}: "
+                                    "want an object of from, to, op and n")
+            if any(type(raw.get(k, 0)) is not int for k in ("from", "to", "n")):
+                raise ScheduleError(f"step {idx}: from, to and n must be JSON integers")
             op = raw["op"]
             if op not in (DELIVER, CRASH, RESTART):
                 raise ScheduleError(f"step {idx}: unknown op {op!r}")
-            buf = BufferId(int(raw["from"]), int(raw["to"]))
-            count = int(raw.get("n", 1)) if op == DELIVER else 1
+            buf = BufferId(raw["from"], raw["to"])
+            count = raw.get("n", 1) if op == DELIVER else 1
             steps.append(ScheduleStep(buf, op, count))
-        except (KeyError, TypeError, ValueError) as e:
-            if isinstance(e, ScheduleError):
-                raise
-            raise ScheduleError(f"step {idx}: malformed step: {e}") from e
-    try:
-        seed = int(obj.get("seed", 0))
-    except (TypeError, ValueError) as e:
-        raise ScheduleError(f"malformed schedule seed: {e}") from e
+        except KeyError as e:
+            raise ScheduleError(f"step {idx}: malformed step: no key {e}") from e
+    seed = obj.get("seed", 0)
+    if type(seed) is not int:
+        raise ScheduleError(f"malformed schedule seed: {json.dumps(seed)}")
     s = Schedule(steps=tuple(steps), seed=seed)
     validate_schedule(s)
     return s

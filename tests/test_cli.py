@@ -258,6 +258,57 @@ def test_bad_campaign_setting_is_one_error_line(tmp_path, capsys, monkeypatch,
     assert len(err) == 1 and err[0].startswith("error:") and words in err[0]
     assert not list((tmp_path / "out").glob("*"))
 
+BAD_CONFIGS = [
+    ("run", {"budgett": 3, "corpus_size": 2}, "'budgett', 'corpus_size'"),
+    ("run", {"runs": 3}, "'runs'"),               # a flag of another command
+    ("run", {"param": ["micro.m=1"]}, "'param'"),  # "params" is the config key
+    ("compare", {"config": "other.json"}, "'config'"),
+    ("run", {"params": [1]}, "'params'"),
+    ("run", {"budget": 2.5}, "'budget'"),
+    ("run", {"budget": True}, "'budget'"),
+    ("compare", {"runs": "3"}, "'runs'"),
+    ("run", {"budget-seconds": "5"}, "'budget-seconds'"),
+    ("run", {"no-track-states": 1}, "'no-track-states'"),
+    ("run", {"stop-on-bug": 1}, "'stop-on-bug'"),
+    ("enumerate", {"bench": ["micro"]}, "'bench'"),
+    ("enumerate", {"max-depth": None}, "'max-depth'"),
+]
+
+
+@pytest.mark.parametrize("command, config, words", BAD_CONFIGS)
+def test_bad_config_file_is_one_error_line(tmp_path, capsys, monkeypatch,
+                                           command, config, words):
+    _no_campaigns(monkeypatch)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    argv = _command_argv(command, tmp_path) + ["--bench", "micro", "--config", str(cfg)]
+    code = main(argv)
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error:") and words in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_values_of_their_flags_json_types_reach_the_campaign(tmp_path, capsys,
+                                                                     monkeypatch):
+    configs = []
+    monkeypatch.setattr(cli, "fuzz_campaign",
+                        lambda config: configs.append(config) or fuzzer.CampaignResult("model"))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "bench": "micro", "notion": "trace", "budget": 7, "seed": 3, "corpus-size": 2,
+        "energy": 1, "budget-seconds": 9, "no-track-states": True,
+        "stop-on-bug": "Ghost", "out": str(tmp_path / "o"), "params": {"micro.m": 1},
+    }))
+    code, _ = run_cli(capsys, "run", "--config", str(cfg))
+    assert code == 0 and (tmp_path / "o").is_dir()
+    (c,) = configs
+    assert (c.notion, c.budget, c.master_seed, c.corpus_size, c.energy_per_item) == (
+        "trace", 7, 3, 2, 1)
+    assert c.budget_seconds == 9.0 and isinstance(c.budget_seconds, float)
+    assert (c.track_states, c.stop_on_bug, c.benchmark.sut.m) == (False, "Ghost", 1)
+
+
 def test_config_flag_without_a_path_is_reported(capsys):
     code = main(["run", "--bench", "micro", "--config"])
     err = capsys.readouterr().err.splitlines()
@@ -338,3 +389,32 @@ def test_enumerate_bounds_the_model_bfs_by_max_depth(capsys):
     code, out = run_cli(capsys, "enumerate", "--bench", "raftlite", "--max-depth", "2")
     assert code == 0
     assert json.loads(out)["reachableStates"] == 28
+
+
+BAD_SCHEDULE_STEPS = [
+    ({"from": 1, "to": 0, "op": "deliver", "count": 2}, "from, to, op and n"),
+    ({"from": 0.5, "to": 0, "op": "deliver"}, "JSON integers"),
+    ({"from": "1", "to": 0, "op": "deliver"}, "JSON integers"),
+    ({"from": 1, "to": 0, "op": "deliver", "n": True}, "JSON integers"),
+    ({"from": 1, "to": 0, "op": "deliver", "n": 1.9}, "JSON integers"),
+    ({"from": 1, "op": "deliver"}, "'to'"),
+    ([1, 0, "deliver"], "from, to, op and n"),
+]
+
+
+@pytest.mark.parametrize("step, words", BAD_SCHEDULE_STEPS)
+def test_replay_rejects_a_malformed_step(tmp_path, capsys, step, words):
+    code, cap = _replay(tmp_path, capsys, "micro", [step])
+    err = cap.err.splitlines()
+    assert code == 2 and not cap.out
+    assert len(err) == 1 and err[0].startswith("error: step 0") and words in err[0]
+
+
+def test_replay_rejects_a_seed_that_is_no_integer(tmp_path, capsys):
+    sched = tmp_path / "schedule.json"
+    sched.write_text('{"seed": 1.5, "steps": [{"from": 1, "to": 0, "op": "deliver"}]}')
+    code = main(["replay", "--bench", "micro", "--schedule", str(sched)])
+    cap = capsys.readouterr()
+    err = cap.err.splitlines()
+    assert code == 2 and not cap.out
+    assert len(err) == 1 and err[0].startswith("error: malformed schedule seed")

@@ -5,7 +5,7 @@ from collections import Counter, deque
 
 import pytest
 
-from schedfuzz import fuzzer
+from schedfuzz import coverage, fuzzer
 from schedfuzz.benchmarks import build_micro, build_raftlite, build_tpc
 from schedfuzz.coverage import model_state_items
 from schedfuzz.fuzzer import (
@@ -420,3 +420,32 @@ def test_mutations_are_drawn_only_for_iterations_left(monkeypatch):
     assert res.iterations == budget
     assert res.spawned_mutants > 2 * budget
     assert len(calls) <= budget
+
+
+def test_campaign_reaches_the_model_layers_under_their_names(monkeypatch):
+    """The benchmark times the model layers by wrapping these module names:
+    a refactor that stops calling them would zero its metrics silently."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("map_events", "run_actions", "model_state_items"):
+        monkeypatch.setattr(fuzzer, name, counted(name, getattr(fuzzer, name)))
+    digests = set()
+    real_fingerprint = coverage.fingerprint
+
+    def recorded(value):
+        digests.add(real_fingerprint(value))
+        return real_fingerprint(value)
+
+    monkeypatch.setattr(coverage, "fingerprint", recorded)
+    res = _campaign(bench=build_raftlite(5, 2, quorum_bug=True), budget=300, seed=2)
+    executions = res.iterations - res.repeats
+    assert res.repeats > 0 and executions > 0
+    assert calls == dict.fromkeys(("map_events", "run_actions", "model_state_items"),
+                                  executions)
+    assert res.state_coverage and {fp for _, fp in res.state_coverage} <= digests

@@ -1,12 +1,20 @@
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
 from schedfuzz.benchmarks import build_micro, build_raftlite, build_tpc
-from schedfuzz.benchmarks.raftlite import CANDIDATE, FOLLOWER, LEADER, RaftState
+from schedfuzz.benchmarks.raftlite import (
+    CANDIDATE,
+    FOLLOWER,
+    LEADER,
+    RaftState,
+    encode_entries,
+    parse_entries,
+)
 from schedfuzz.coverage import model_state_items
-from schedfuzz.fingerprint import fingerprint
+from schedfuzz.fingerprint import digest128, encode_canonical, fingerprint
 from schedfuzz.harness import execute_schedule
 from schedfuzz.mapper import map_events
 from schedfuzz.model import (
@@ -14,6 +22,7 @@ from schedfuzz.model import (
     ModelAction,
     abstract_raft_states,
     bfs_reachable,
+    merge_terms,
     run_actions,
 )
 from schedfuzz.schedule import generate_random_schedule
@@ -161,3 +170,164 @@ def test_model_path_is_pinned(bench):
 ], ids=lambda v: getattr(v, "name", str(v)))
 def test_bfs_counts_are_pinned(bench, depth, count):
     assert len(bfs_reachable(bench.lts, depth_limit=depth).states) == count
+
+
+# --- references for the optimised model layers -------------------------------
+
+def _reference_merge_terms(a, b) -> bool:
+    """The term abstraction's predicate as first written, with _replace."""
+    if a is b:
+        return True
+    if type(a) is not type(b):
+        return False
+    if a._replace(terms=b.terms) != b:
+        return False
+    for ta, tb, role in zip(a.terms, b.terms, a.roles):
+        if ta != tb and role == LEADER:
+            return False
+    return True
+
+
+def _reference_state_items(path, lts) -> frozenset:
+    """model_state_items as first written: abstract the whole path, dedupe the
+    states in a set, then encode and digest each one from scratch."""
+    if lts.merges is not None:
+        out = [path[0]]
+        for state in path[1:]:
+            out.append(out[-1] if _reference_merge_terms(out[-1], state) else state)
+        assert abstract_raft_states(path) == out
+        path = out
+    return frozenset(("state", digest128(encode_canonical(s))) for s in set(path))
+
+
+@pytest.mark.parametrize("bench", [build_micro(), build_tpc(), build_raftlite(crash_quota=30)],
+                         ids=lambda b: b.name)
+def test_state_items_match_the_reference_formula(bench):
+    rng = random.Random(41)
+    states = set()
+    for _ in range(1000):
+        s = generate_random_schedule(bench.gen_defaults, rng)
+        actions = map_events(bench.name, execute_schedule(bench.sut, s).trace)
+        for acts in (actions, actions[::-1]):
+            run = run_actions(bench.lts, acts)
+            items = model_state_items(run, bench.lts)
+            assert items == _reference_state_items(run.path, bench.lts)
+            states |= items
+    assert len(states) > 20
+
+
+def _reference_raft_step(proc_count):
+    """raftlite's model step as first written, with chained _replace calls."""
+    def _set(t, i, v):
+        return t[:i] + (v,) + t[i + 1:]
+
+    def step(q, a):
+        name = a.name
+        if name == "Crash":
+            (p,) = a.args
+            if p not in q.active:
+                return None
+            return q._replace(active=tuple(x for x in q.active if x != p))
+        if name == "Restart":
+            (p,) = a.args
+            if p in q.active or not (0 <= p < proc_count):
+                return None
+            return q._replace(active=tuple(sorted(q.active + (p,))),
+                              roles=_set(q.roles, p, FOLLOWER))
+        p = a.args[0]
+        if p not in q.active:
+            return None
+        if name == "Timeout":
+            if q.roles[p] == LEADER:
+                return q
+            return q._replace(terms=_set(q.terms, p, q.terms[p] + 1),
+                              roles=_set(q.roles, p, CANDIDATE))
+        if name == "ElectLeader":
+            _, term = a.args
+            return q._replace(roles=_set(q.roles, p, LEADER),
+                              terms=_set(q.terms, p, term))
+        if name == "ClientRequest":
+            _, serial = a.args
+            if q.roles[p] != LEADER:
+                return None
+            return q._replace(logs=_set(q.logs, p, q.logs[p] + ((q.terms[p], serial),)))
+        if name in ("HandleRequestVoteRequest", "HandleRequestVoteResponse",
+                    "HandleAppendEntriesResponse", "HandleNilAppendEntriesResponse"):
+            term = a.args[1]
+            if term > q.terms[p]:
+                return q._replace(terms=_set(q.terms, p, term),
+                                  roles=_set(q.roles, p, FOLLOWER))
+            return q
+        if name == "HandleAppendEntriesRequest":
+            _, term, prev_idx, prev_term, entries_str, _commit = a.args
+            if term < q.terms[p]:
+                return q
+            q = q._replace(terms=_set(q.terms, p, term), roles=_set(q.roles, p, FOLLOWER))
+            log = q.logs[p]
+            if prev_idx > len(log):
+                return q
+            if prev_idx >= 1 and log[prev_idx - 1][0] != prev_term:
+                return q
+            merged = list(log)
+            idx = prev_idx
+            for e in parse_entries(entries_str):
+                idx += 1
+                if idx <= len(merged):
+                    if merged[idx - 1][0] == e[0]:
+                        continue
+                    del merged[idx - 1:]
+                merged.append(e)
+            return q._replace(logs=_set(q.logs, p, tuple(merged)))
+        if name == "UpdateSnapshotIndex":
+            _, snap = a.args
+            return q._replace(snaps=_set(q.snaps, p, max(q.snaps[p], snap)))
+        raise MappingContractError(name)
+
+    return step
+
+
+def _random_raft_action(rng, procs):
+    p = rng.randrange(procs + 1)  # procs itself is out of range: rejected
+    term = rng.randrange(5)
+    name = rng.choice([
+        "Crash", "Restart", "Timeout", "ElectLeader", "ClientRequest",
+        "HandleRequestVoteRequest", "HandleRequestVoteResponse",
+        "HandleAppendEntriesResponse", "HandleNilAppendEntriesResponse",
+        "HandleAppendEntriesRequest", "UpdateSnapshotIndex",
+    ])
+    if name in ("Crash", "Restart", "Timeout"):
+        return ModelAction(name, (p,))
+    if name == "HandleAppendEntriesRequest":
+        entries = encode_entries([(rng.randrange(5), rng.randrange(9))
+                                  for _ in range(rng.randrange(4))])
+        return ModelAction(name, (p, term, rng.randrange(4), rng.randrange(5),
+                                  entries, rng.randrange(4)))
+    return ModelAction(name, (p, term if name != "ClientRequest" else rng.randrange(99)))
+
+
+@pytest.mark.parametrize("procs", [3, 5])
+def test_raft_step_and_merge_match_the_replace_references(procs):
+    lts = build_raftlite(procs).lts
+    reference = _reference_raft_step(procs)
+    rng = random.Random(procs)
+    outcomes = Counter()
+    for _ in range(1500):
+        q = lts.initial
+        for _ in range(40):
+            a = _random_raft_action(rng, procs)
+            nxt, want = lts.step(q, a), reference(q, a)
+            assert nxt == want and type(nxt) is type(want), a
+            if nxt is not None:
+                assert merge_terms(q, nxt) == _reference_merge_terms(q, nxt), a
+            outcomes[a.name, "rejected" if nxt is None else
+                     "unchanged" if nxt == q else "changed"] += 1
+            q = q if nxt is None else nxt
+    # Each action kind changed the state somewhere, and the kinds that can be
+    # rejected were rejected somewhere.
+    for name in ("Crash", "Restart", "Timeout", "ElectLeader", "ClientRequest",
+                 "HandleRequestVoteRequest", "HandleAppendEntriesRequest",
+                 "UpdateSnapshotIndex"):
+        assert outcomes[name, "changed"] > 0, name
+    for name in ("Crash", "Restart", "Timeout", "ClientRequest",
+                 "HandleAppendEntriesRequest"):
+        assert outcomes[name, "rejected"] > 0, name

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from schedfuzz.benchmarks import build_micro, build_raftlite, build_tpc
 from schedfuzz.schedule import (
     CRASH,
     DELIVER,
@@ -119,3 +120,34 @@ def test_alternation_invariant_enforced():
     validate_schedule(Schedule((restart,)))  # bare restart is a harness no-op
     with pytest.raises(ScheduleError):
         validate_schedule(Schedule((crash, restart, restart)))
+
+
+@pytest.mark.parametrize("data", [
+    b'{"seed":0,"steps":[{"from":0,"to":1,"op":"deliver","count":2}]}',
+    b'{"seed":0,"steps":[{"from":0.5,"to":1,"op":"deliver"}]}',
+    b'{"seed":0,"steps":[{"from":"0","to":1,"op":"deliver"}]}',
+    b'{"seed":0,"steps":[{"from":0,"to":1,"op":"deliver","n":true}]}',
+    b'{"seed":0,"steps":[{"from":0,"to":1,"op":"deliver","n":1.9}]}',
+    b'{"seed":0,"steps":[{"from":0,"to":1,"op":"crash","n":false}]}',
+    b'{"seed":0,"steps":[{"from":0,"to":true,"op":"restart"}]}',
+    b'{"seed":0,"steps":[{"from":0,"op":"restart"}]}',
+    b'{"seed":0,"steps":["deliver"]}',
+    b'{"seed":1.5,"steps":[]}',
+    b'{"seed":true,"steps":[]}',
+    b'{"seed":"0","steps":[]}',
+])
+def test_schedule_fields_are_parsed_strictly(data):
+    with pytest.raises(ScheduleError):
+        parse_schedule(data)
+
+
+@pytest.mark.parametrize("bench", [
+    build_micro(), build_tpc(), build_raftlite(5, crash_quota=30),
+], ids=lambda b: b.name)
+def test_every_written_schedule_parses_back(bench):
+    rng = random.Random(12)
+    for _ in range(200):
+        s = generate_random_schedule(bench.gen_defaults, rng)
+        assert parse_schedule(serialize_schedule(s)) == s
+    big = Schedule((ScheduleStep(BufferId(0, 1), DELIVER, 7),), seed=2**64 - 1)
+    assert parse_schedule(serialize_schedule(big)) == big
