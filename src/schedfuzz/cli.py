@@ -60,8 +60,13 @@ def _peek_config(argv) -> dict:
     return cfg
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # main prints one error: line, not the usage
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser(cfg: dict) -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="schedfuzz")
+    parser = _Parser(prog="schedfuzz")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):

@@ -30,6 +30,7 @@ from .schedule import (
     Schedule,
     ScheduleError,
     generate_random_schedule,
+    randbelow,
     validate_schedule,
 )
 
@@ -87,7 +88,7 @@ def draw_mutation(summary: MutationSummary, kind: str,
     All of a mutation's randomness is drawn here, so a mutant can be built
     later, or never, without changing what later draws see.
     """
-    delivers, crashes = summary.delivers, summary.crashes
+    delivers, crashes, retarget = summary.delivers, summary.crashes, summary.retarget
     if kind == AUTO:
         kinds = []
         if len(delivers) >= 2:
@@ -97,20 +98,33 @@ def draw_mutation(summary: MutationSummary, kind: str,
                 kinds.append(SWAP_MAX_MESSAGES)
         if crashes:
             kinds.append(SWAP_CRASH_PROCESSES)
-        kind = rng.choice(kinds) if kinds else SWAP_BUFFERS
+        kind = kinds[randbelow(rng, len(kinds))] if kinds else SWAP_BUFFERS
 
     if kind in (SWAP_BUFFERS, SWAP_MAX_MESSAGES):
         if len(delivers) < 2:
             return None
-        return Mutation(kind, *rng.sample(delivers, 2))
+        return Mutation(kind, *_sample2(delivers, rng))
     if kind == SWAP_CRASH_PROCESSES:
         if len(crashes) >= 2:
-            return Mutation(kind, *rng.sample(crashes, 2))
-        if crashes and summary.retarget:
+            return Mutation(kind, *_sample2(crashes, rng))
+        if crashes and retarget:
             return Mutation(kind, crashes[0], crashes[0],
-                            rng.choice(summary.retarget))
+                            retarget[randbelow(rng, len(retarget))])
         return None
     raise ValueError(f"unknown mutation kind {kind!r}")
+
+
+def _sample2(seq, rng: random.Random) -> tuple:
+    """``rng.sample(seq, 2)``, drawn as CPython's two branches draw it."""
+    n = len(seq)
+    j1 = randbelow(rng, n)
+    if n <= 21:  # the pool branch: seq[n - 1] fills the first pick's place
+        j2 = randbelow(rng, n - 1)
+        return seq[j1], seq[n - 1 if j2 == j1 else j2]
+    j2 = randbelow(rng, n)
+    while j2 == j1:
+        j2 = randbelow(rng, n)
+    return seq[j1], seq[j2]
 
 
 def build_mutant(s: Schedule, m: Mutation | None) -> Schedule:
@@ -296,12 +310,12 @@ def fuzz_campaign(config: CampaignConfig) -> CampaignResult:
         out = []
         for _ in range(config.corpus_size):
             out.append((generate_random_schedule(gen, rng), None,
-                        next_id, None, iteration))
+                        next_id, None, iteration, None))
             next_id += 1
         return out
 
-    # Queued: (base, mutation, entry_id, parent, discovered_at); the schedule
-    # is build_mutant(base, mutation), made when it is dequeued.
+    # Queued: (base, mutation, entry_id, parent, discovered_at, proved_same);
+    # the schedule is build_mutant(base, mutation), made when it is dequeued.
     queue = deque(fresh_entries(0))
     iteration = 0
     while iteration < config.budget:
@@ -310,8 +324,11 @@ def fuzz_campaign(config: CampaignConfig) -> CampaignResult:
         if not queue:
             queue.extend(fresh_entries(iteration))
             result.repopulations += 1
-        base, mutation, entry_id, parent, discovered_at = queue.popleft()
+        base, mutation, entry_id, parent, discovered_at, proved_same = queue.popleft()
         iteration += 1
+        # A proved repeat is answered by the memo with its parent's run.
+        if mutation is not None and proved_same(mutation):
+            mutation = None
         schedule = build_mutant(base, mutation)
         if parent is not None:
             unmatched = executed.get(schedule)
@@ -361,11 +378,8 @@ def fuzz_campaign(config: CampaignConfig) -> CampaignResult:
                 summary = mutation_summary(schedule, bench.sut.process_count)
                 unchanged = unchanged_by(schedule, exec_result, bits)
                 for eid in range(next_id, next_id + drawn):
-                    m = draw_mutation(summary, AUTO, rng)
-                    # A no-op is answered by the memo with the parent's run.
-                    if m is not None and unchanged(m):
-                        m = None
-                    queue.append((schedule, m, eid, entry_id, iteration))
+                    queue.append((schedule, draw_mutation(summary, AUTO, rng),
+                                  eid, entry_id, iteration, unchanged))
             next_id += energy
             unqueued += energy - drawn
             result.spawned_mutants += energy

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 DELIVER = "deliver"
@@ -55,6 +56,12 @@ class GenParams:
     def buffer_universe(self) -> list[BufferId]:
         return buffer_universe(self.num_processes, self.extra_buffers)
 
+    @cached_property
+    def deliver_steps(self) -> tuple:
+        """The universe, and per buffer its deliver steps of counts 1..max."""
+        counts, universe = range(1, self.max_messages_per_step + 1), self.buffer_universe()
+        return universe, [[ScheduleStep(b, DELIVER, c) for c in counts] for b in universe]
+
 
 def buffer_universe(num_processes: int, extra_buffers=()) -> list[BufferId]:
     """Every ordered pair of distinct processes, then the extra buffers."""
@@ -63,6 +70,16 @@ def buffer_universe(num_processes: int, extra_buffers=()) -> list[BufferId]:
     ]
     pairs.extend(extra_buffers)
     return pairs
+
+
+def randbelow(rng: random.Random, n: int) -> int:
+    """A uniform int in [0, n), n >= 1, drawn as CPython's ``Random._randbelow``
+    draws it: ``seq[randbelow(rng, len(seq))]`` is ``rng.choice(seq)`` (3.10-3.12)."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
 
 
 def generate_random_schedule(params: GenParams, rng: random.Random) -> Schedule:
@@ -84,34 +101,41 @@ def generate_random_schedule(params: GenParams, rng: random.Random) -> Schedule:
     if params.crash_quota < 0:
         raise ScheduleError("crash quota must be >= 0")
 
-    universe = params.buffer_universe()
+    universe, deliver_steps = params.deliver_steps
     slots: list[ScheduleStep | None] = [None] * params.max_steps
     crash_prob = params.crash_quota / params.max_steps
     crashes_left = params.crash_quota
     # Processes with a pending restart slot: no further crash of the same
     # process until past that slot, so crash/restart alternate per process.
     blocked_until: dict[int, int] = {}
+    # rng.choice(universe) and rng.randint(1, m), inlined: see randbelow.
+    getrandbits, n, m = rng.getrandbits, len(universe), params.max_messages_per_step
+    kn, km = n.bit_length(), m.bit_length()
 
     for i in range(params.max_steps):
         if slots[i] is not None:
             continue
-        buf = rng.choice(universe)
-        target = buf.receiver
-        blocked = blocked_until.get(target, -1) >= i
-        if crashes_left > 0 and not blocked and rng.random() < crash_prob:
+        b = getrandbits(kn)
+        while b >= n:
+            b = getrandbits(kn)
+        buf = universe[b]
+        if (crashes_left > 0 and blocked_until.get(buf.receiver, -1) < i
+                and rng.random() < crash_prob):
             slots[i] = ScheduleStep(buf, CRASH)
             crashes_left -= 1
             free = [j for j in range(i + 1, params.max_steps) if slots[j] is None]
             if free:
-                j = rng.choice(free)
+                j = free[randbelow(rng, len(free))]
                 slots[j] = ScheduleStep(buf, RESTART)
-                blocked_until[target] = j
+                blocked_until[buf.receiver] = j
         else:
-            count = rng.randint(1, params.max_messages_per_step)
-            slots[i] = ScheduleStep(buf, DELIVER, count)
+            c = getrandbits(km)
+            while c >= m:
+                c = getrandbits(km)
+            slots[i] = deliver_steps[b][c]
 
-    steps = tuple(s for s in slots if s is not None)
-    return Schedule(steps=steps, seed=rng.getrandbits(64))
+    # Every slot is filled: a restart's slot is skipped, any other is drawn.
+    return Schedule(steps=tuple(slots), seed=rng.getrandbits(64))
 
 
 def validate_schedule(s: Schedule, params: GenParams | None = None) -> None:

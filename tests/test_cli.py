@@ -342,6 +342,42 @@ def test_empty_config_path_is_reported(capsys):
     assert len(err) == 1 and err[0].startswith("error:") and "--config" in err[0]
 
 
+# Per subcommand: a flag value argparse cannot convert, and a flag it needs
+# but does not get.
+ARGPARSE_ERRORS = [
+    ([], "required: command"),
+    (["bogus"], "invalid choice: 'bogus'"),
+    (["run", "--bench", "micro", "--budget", "x", "--out", "o"], "invalid int value: 'x'"),
+    (["run", "--bench", "micro"], "required: --out"),
+    (["compare", "--bench", "micro", "--runs", "x", "--out", "o"], "invalid int value: 'x'"),
+    (["compare", "--bench", "micro"], "required: --out"),
+    (["enumerate", "--bench", "micro", "--max-depth", "x"], "invalid int value: 'x'"),
+    (["enumerate", "--bench", "micro", "--dump-states"], "expected one argument"),
+    (["replay", "--bench", "nosuch", "--schedule", "s.json"], "invalid choice: 'nosuch'"),
+    (["replay", "--bench", "micro"], "required: --schedule"),
+]
+
+
+@pytest.mark.parametrize("argv, words", ARGPARSE_ERRORS)
+def test_argparse_errors_are_one_error_line(tmp_path, capsys, monkeypatch, argv, words):
+    _no_campaigns(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    code = main(argv)
+    cap = capsys.readouterr()
+    err = cap.err.splitlines()
+    assert code == 2 and not cap.out
+    assert len(err) == 1 and err[0].startswith("error:") and words in err[0]
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [[], *([c] for c in COMMAND_FLAGS)])
+def test_help_still_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: schedfuzz")
+
+
 def _replay(tmp_path, capsys, bench, steps):
     sched = tmp_path / "schedule.json"
     sched.write_text(json.dumps({"seed": 0, "steps": steps}))

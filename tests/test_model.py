@@ -331,3 +331,30 @@ def test_raft_step_and_merge_match_the_replace_references(procs):
     for name in ("Crash", "Restart", "Timeout", "ClientRequest",
                  "HandleAppendEntriesRequest"):
         assert outcomes[name, "rejected"] > 0, name
+
+
+def test_compacting_raft_runs_match_the_references():
+    """Runs of a raftlite that compacts its logs (threshold 2, six requests)
+    through the state-items, step and merge references: the only runs where
+    UpdateSnapshotIndex moves a state and merge_terms compares snaps."""
+    reference = _reference_raft_step(3)
+    rng = random.Random(47)
+    compacting = snaps_moved = 0
+    for quota in (0, 10):
+        bench = build_raftlite(3, 6, snapshot_threshold=2, crash_quota=quota)
+        lts = bench.lts
+        for _ in range(500):
+            s = generate_random_schedule(bench.gen_defaults, rng)
+            actions = map_events(bench.name, execute_schedule(bench.sut, s).trace)
+            compacting += any(a.name == "UpdateSnapshotIndex" for a in actions)
+            run = run_actions(lts, actions)
+            assert model_state_items(run, lts) == _reference_state_items(run.path, lts)
+            q = lts.initial
+            for a in actions:
+                nxt, want = lts.step(q, a), reference(q, a)
+                assert nxt == want and type(nxt) is type(want), a
+                if nxt is not None:
+                    assert merge_terms(q, nxt) == _reference_merge_terms(q, nxt), a
+                    snaps_moved += nxt.snaps != q.snaps
+                    q = nxt
+    assert compacting >= 20 and snaps_moved >= 20, (compacting, snaps_moved)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -151,3 +152,23 @@ def test_every_written_schedule_parses_back(bench):
         assert parse_schedule(serialize_schedule(s)) == s
     big = Schedule((ScheduleStep(BufferId(0, 1), DELIVER, 7),), seed=2**64 - 1)
     assert parse_schedule(serialize_schedule(big)) == big
+
+
+# sha256 over 500 generated schedules per benchmark and the final rng state.
+# Any change to the draws the generator makes, or to the order it makes them
+# in, shows here.
+GENERATED_PINS = {
+    "micro": "f7dfc44ff7f7c0ed8edaf1e5fbca99d86e2dafb4f4bd4bb15b80dacd46303581",
+    "tpc": "610c48c0e58d7a60973f81c45a56c12a3172e36665079b698cc13329ade7fc60",
+    "raftlite": "e6ed9ebf9990cba62d142de4de7566cefbb54a404324dca6a606ca14081e19c5",
+}
+
+
+@pytest.mark.parametrize("bench", [
+    build_micro(), build_tpc(), build_raftlite(crash_quota=30),
+], ids=lambda b: b.name)
+def test_generated_schedules_are_pinned(bench):
+    rng = random.Random(9)
+    schedules = [generate_random_schedule(bench.gen_defaults, rng) for _ in range(500)]
+    digest = hashlib.sha256(repr((schedules, rng.getstate())).encode()).hexdigest()
+    assert digest == GENERATED_PINS[bench.name]
