@@ -30,6 +30,8 @@ ELECTION_SAFETY = "ElectionSafety: two leaders elected in one term"
 LOG_MATCHING = "LogMatching: committed prefixes diverge"
 TERM_MONOTONICITY = "TermMonotonicity: a process's term decreased"
 
+TIMEOUT = make_message("Timeout")  # the one message of every control channel
+
 
 def encode_entries(entries) -> str:
     return ",".join(f"{t}:{s}" for t, s in entries)
@@ -65,9 +67,13 @@ class RaftLiteBench(SystemUnderTest):
         self.commit_quorum = proc_count // 2 + 1
         self.extra_buffers = tuple(BufferId(p, p) for p in range(proc_count))
         self.control_buffers = frozenset(self.extra_buffers)
+        # Per process, every other process in id order.
+        self._peers = tuple(
+            tuple(q for q in range(proc_count) if q != p) for p in range(proc_count)
+        )
 
     def control_message(self, buf: BufferId) -> Message:
-        return make_message("Timeout")
+        return TIMEOUT
 
     def init(self):
         states = [self._fresh_state() for _ in range(self.process_count)]
@@ -97,9 +103,6 @@ class RaftLiteBench(SystemUnderTest):
             return st["snap_term"]
         return st["log"][idx - st["snap_index"] - 1][0]
 
-    def _others(self, proc):
-        return [q for q in range(self.process_count) if q != proc]
-
     # -- handlers ----------------------------------------------------------
 
     def handle(self, proc, st, msg: Message, ctx):
@@ -124,33 +127,30 @@ class RaftLiteBench(SystemUnderTest):
             st["voted_for"] = proc
             st["votes"] = {proc}
             ctx.point("timeout.candidate")
-            for q in self._others(proc):
-                ctx.send(
-                    q, "RequestVote",
-                    term=st["term"], cand=proc,
-                    last_idx=self._last_index(st),
-                    last_term=self._term_at(st, self._last_index(st)),
-                )
+            last = self._last_index(st)
+            ctx.broadcast(self._peers[proc], "RequestVote", term=st["term"], cand=proc,
+                          last_idx=last, last_term=self._term_at(st, last))
         elif st["served"] < self.request_count:
             serial = proc * 10000 + st["served"]
             st["served"] += 1
             st["log"].append((st["term"], serial))
             ctx.internal("ClientRequestServed", serial=serial)
             ctx.point("leader.request")
-            for q in self._others(proc):
+            for q in self._peers[proc]:
                 self._send_append(proc, st, q, ctx)
         else:
             ctx.point("leader.idle")
 
     def _on_request_vote(self, proc, st, msg, ctx):
-        t, cand = msg.field("term"), msg.field("cand")
+        f = dict(msg.fields)
+        t, cand = f["term"], f["cand"]
         if t > st["term"]:
             st["term"] = t
             st["role"] = FOLLOWER
             st["voted_for"] = -1
             ctx.point("rv.term_bump")
         mine = (self._term_at(st, self._last_index(st)), self._last_index(st))
-        up_to_date = (msg.field("last_term"), msg.field("last_idx")) >= mine
+        up_to_date = (f["last_term"], f["last_idx"]) >= mine
         grant = t == st["term"] and st["voted_for"] in (-1, cand) and up_to_date
         if grant:
             st["voted_for"] = cand
@@ -161,24 +161,25 @@ class RaftLiteBench(SystemUnderTest):
                  granted=int(grant), voter=proc)
 
     def _on_vote_response(self, proc, st, msg, ctx):
-        t = msg.field("term")
+        f = dict(msg.fields)
+        t = f["term"]
         if t > st["term"]:
             st["term"] = t
             st["role"] = FOLLOWER
             st["voted_for"] = -1
             ctx.point("rvr.term_bump")
             return
-        if st["role"] != CANDIDATE or t != st["term"] or not msg.field("granted"):
+        if st["role"] != CANDIDATE or t != st["term"] or not f["granted"]:
             ctx.point("rvr.ignored")
             return
-        st["votes"].add(msg.field("voter"))
+        st["votes"].add(f["voter"])
         if len(st["votes"]) >= self.election_quorum:
             st["role"] = LEADER
-            st["next"] = {q: self._last_index(st) + 1 for q in self._others(proc)}
-            st["match"] = {q: 0 for q in self._others(proc)}
+            st["next"] = {q: self._last_index(st) + 1 for q in self._peers[proc]}
+            st["match"] = {q: 0 for q in self._peers[proc]}
             ctx.internal("LeaderElected", term=st["term"])
             ctx.point("leader.won")
-            for q in self._others(proc):
+            for q in self._peers[proc]:
                 self._send_append(proc, st, q, ctx)
 
     def _send_append(self, proc, st, to, ctx):
@@ -194,7 +195,8 @@ class RaftLiteBench(SystemUnderTest):
         )
 
     def _on_append(self, proc, st, msg, ctx):
-        t, leader = msg.field("term"), msg.field("leader")
+        f = dict(msg.fields)
+        t, leader = f["term"], f["leader"]
         if t < st["term"]:
             ctx.point("ae.stale")
             ctx.send(leader, "AppendEntriesResponse", term=st["term"],
@@ -204,9 +206,9 @@ class RaftLiteBench(SystemUnderTest):
             st["term"] = t
             st["voted_for"] = -1
         st["role"] = FOLLOWER
-        prev_idx = msg.field("prev_idx")
-        prev_term = msg.field("prev_term")
-        entries = parse_entries(msg.field("entries"))
+        prev_idx = f["prev_idx"]
+        prev_term = f["prev_term"]
+        entries = parse_entries(f["entries"])
         if prev_idx < st["snap_index"]:
             # Prefix already compacted here: those entries were committed,
             # so they match by construction; splice off the covered part.
@@ -233,7 +235,7 @@ class RaftLiteBench(SystemUnderTest):
                 del st["log"][idx - st["snap_index"] - 1:]
             st["log"].append(e)
         ctx.point("ae.append")
-        lc = msg.field("commit")
+        lc = f["commit"]
         if lc > st["commit"]:
             st["commit"] = max(st["commit"], min(lc, prev_idx + len(entries)))
             self._apply_committed(st)
@@ -243,7 +245,8 @@ class RaftLiteBench(SystemUnderTest):
                  follower=proc)
 
     def _on_append_response(self, proc, st, msg, ctx):
-        t, follower = msg.field("term"), msg.field("follower")
+        f = dict(msg.fields)
+        t, follower = f["term"], f["follower"]
         if t > st["term"]:
             st["term"] = t
             st["role"] = FOLLOWER
@@ -253,8 +256,8 @@ class RaftLiteBench(SystemUnderTest):
         if st["role"] != LEADER or t != st["term"]:
             ctx.point("aer.stale")
             return
-        if msg.field("success"):
-            match = msg.field("match")
+        if f["success"]:
+            match = f["match"]
             if match > st["match"].get(follower, 0):
                 st["match"][follower] = match
             st["next"][follower] = st["match"].get(follower, 0) + 1
@@ -284,7 +287,7 @@ class RaftLiteBench(SystemUnderTest):
             st["snap_index"] = st["commit"]
             ctx.internal("SnapshotCompacted", index=st["commit"])
             ctx.point("leader.compact")
-        for q in self._others(proc):
+        for q in self._peers[proc]:
             self._send_append(proc, st, q, ctx)
 
     def _apply_committed(self, st):

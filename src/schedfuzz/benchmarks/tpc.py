@@ -65,8 +65,7 @@ class TpcBench(SystemUnderTest):
             state["phase"][tx] = COLLECTING
             state["yes"][tx] = set()
             ctx.point("tm.request")
-            for rm in self.rms:
-                ctx.send(rm, "Prepare", tx=tx)
+            ctx.broadcast(self.rms, "Prepare", tx=tx)
         elif msg.verb == "Vote":
             tx = msg.field("tx")
             if state["phase"].get(tx) != COLLECTING:
@@ -78,13 +77,11 @@ class TpcBench(SystemUnderTest):
                 if len(state["yes"][tx]) == self.rm_count:
                     state["phase"][tx] = COMMITTED
                     ctx.point("tm.commit")
-                    for rm in self.rms:
-                        ctx.send(rm, "Decision", tx=tx, commit=1)
+                    ctx.broadcast(self.rms, "Decision", tx=tx, commit=1)
             else:
                 state["phase"][tx] = ABORTED
                 ctx.point("tm.abort")
-                for rm in self.rms:
-                    ctx.send(rm, "Decision", tx=tx, commit=0)
+                ctx.broadcast(self.rms, "Decision", tx=tx, commit=0)
         else:
             raise HarnessError(f"TM got unexpected {msg.verb}")
 

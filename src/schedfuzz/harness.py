@@ -99,6 +99,7 @@ class ReadyBits(NamedTuple):
     bit: dict        # BufferId -> its bit, for the benchmark's buffer universe
     receives: tuple  # process -> mask of the buffers it receives on
     control: int     # mask of the control buffers
+    outbound: tuple  # sender -> {receiver: (BufferId, its bit or 0)}
 
 
 class SystemUnderTest:
@@ -141,14 +142,19 @@ class SystemUnderTest:
 
     @cached_property
     def ready_bits(self) -> ReadyBits:
-        """One bit per buffer of the benchmark: process pairs, then extra buffers."""
+        """One bit per buffer of the benchmark: process pairs, then extra buffers;
+        and per sender, the buffer and bit each of its sends lands in."""
         universe = dict.fromkeys(buffer_universe(self.process_count, self.extra_buffers))
         bit = {buf: 1 << n for n, buf in enumerate(universe)}
         receives = [0] * self.process_count
         for buf, b in bit.items():
             receives[buf.receiver] |= b
         control = sum(bit.get(buf, 0) for buf in self.control_buffers)
-        return ReadyBits(bit, tuple(receives), control)
+        procs = range(self.process_count)
+        outbound = tuple(
+            {r: (BufferId(s, r), bit.get(BufferId(s, r), 0)) for r in procs} for s in procs
+        )
+        return ReadyBits(bit, tuple(receives), control, outbound)
 
     def oracle_init(self):
         return None
@@ -171,7 +177,7 @@ class SystemUnderTest:
 
 
 class HandlerContext:
-    """What a handler may do during one turn: send, mark points, log markers."""
+    """What a handler may do during one turn: send, broadcast, mark points, log markers."""
 
     __slots__ = ("outbox", "internals", "points")
 
@@ -181,7 +187,12 @@ class HandlerContext:
         self.points: list = []
 
     def send(self, dest: int, verb: str, **fields) -> None:
-        self.outbox.append((dest, make_message(verb, **fields)))
+        self.outbox.append((dest, Message(verb, tuple(sorted(fields.items())))))
+
+    def broadcast(self, dests, verb: str, **fields) -> None:
+        """``send`` to each of ``dests`` in order; they share one immutable message."""
+        msg = Message(verb, tuple(sorted(fields.items())))
+        self.outbox += [(dest, msg) for dest in dests]
 
     def internal(self, verb: str, **fields) -> None:
         self.internals.append((verb, tuple(sorted(fields.items()))))
@@ -230,20 +241,19 @@ def execute_schedule(sut: SystemUnderTest, schedule: Schedule) -> ExecutionResul
     bit = sut.ready_bits.bit
     ready = [hs.ready]
     record = ready.append
-    for idx, step in enumerate(schedule.steps):
-        buf = step.buffer
-        if step.op == DELIVER:
+    for idx, (buf, op, count) in enumerate(schedule.steps):
+        if op == DELIVER:
             b = bit.get(buf)
             if b is None or hs.ready & b:
-                deliver(sut, hs, idx, buf, step.count)
+                deliver(sut, hs, idx, buf, count)
             else:
                 hs.skipped.append(idx)  # deliver would skip it too
-        elif step.op == CRASH:
+        elif op == CRASH:
             _do_crash(sut, hs, idx, buf.receiver)
-        elif step.op == RESTART:
+        elif op == RESTART:
             _do_restart(sut, hs, idx, buf.receiver)
         else:
-            raise HarnessError(f"unknown op {step.op!r}")
+            raise HarnessError(f"unknown op {op!r}")
         record(hs.ready)
 
     final = tuple(
@@ -257,11 +267,6 @@ def execute_schedule(sut: SystemUnderTest, schedule: Schedule) -> ExecutionResul
         final_states=final,
         ready=tuple(ready),
     )
-
-
-def _observe(sut, hs, event) -> None:
-    for desc in sut.oracle_observe(hs.oracle, event, hs.states, hs.alive):
-        hs.violations.append(Violation(SAFETY, desc, event.step))
 
 
 def _run_handler(sut, hs, idx, proc, sender, msg) -> None:
@@ -292,17 +297,24 @@ def _end_turn(sut, hs, idx, proc, event, ctx) -> None:
     turn_events = [event]
     for verb, fields in ctx.internals:
         turn_events.append(ConcreteEvent(EV_INTERNAL, proc, None, verb, fields, idx))
-    for dest, out in ctx.outbox:
-        buf = BufferId(proc, dest)
-        q = hs.buffers.get(buf)
-        if q is None:
-            q = hs.buffers[buf] = deque()
-        if not q and dest in hs.alive:
-            hs.ready |= sut.ready_bits.bit.get(buf, 0)
-        q.append(out)
+    if ctx.outbox:
+        outbound = sut.ready_bits.outbound[proc]
+        for dest, out in ctx.outbox:
+            try:
+                buf, b = outbound[dest]
+            except KeyError:
+                raise HarnessError(f"process {proc} sent {out.verb} to process {dest}, "
+                                   f"outside 0..{sut.process_count - 1}") from None
+            q = hs.buffers.get(buf)
+            if q is None:
+                q = hs.buffers[buf] = deque()
+            if not q and dest in hs.alive:
+                hs.ready |= b
+            q.append(out)
     hs.events.extend(turn_events)
     for ev in turn_events:
-        _observe(sut, hs, ev)
+        for desc in sut.oracle_observe(hs.oracle, ev, hs.states, hs.alive):
+            hs.violations.append(Violation(SAFETY, desc, idx))
 
 
 def deliver(sut: SystemUnderTest, hs: HarnessState, idx: int, buf: BufferId,
@@ -352,7 +364,8 @@ def _do_crash(sut, hs, idx, proc) -> None:
     _kill(sut, hs, proc)
     event = ConcreteEvent(EV_CRASH, proc, None, "", (), idx)
     hs.events.append(event)
-    _observe(sut, hs, event)
+    for desc in sut.oracle_observe(hs.oracle, event, hs.states, hs.alive):
+        hs.violations.append(Violation(SAFETY, desc, idx))
 
 
 def _do_restart(sut, hs, idx, proc) -> None:

@@ -123,9 +123,15 @@ def generate_random_schedule(params: GenParams, rng: random.Random) -> Schedule:
                 and rng.random() < crash_prob):
             slots[i] = ScheduleStep(buf, CRASH)
             crashes_left -= 1
-            free = [j for j in range(i + 1, params.max_steps) if slots[j] is None]
-            if free:
-                j = free[randbelow(rng, len(free))]
+            # The later slots taken are pending restarts, one per blocked
+            # process: draw among the free ones as rng.choice(free) would.
+            pending = sorted(j for j in blocked_until.values() if j > i)
+            free_count = params.max_steps - i - 1 - len(pending)
+            if free_count:
+                j = i + 1 + randbelow(rng, free_count)
+                for taken in pending:
+                    if taken <= j:
+                        j += 1
                 slots[j] = ScheduleStep(buf, RESTART)
                 blocked_until[buf.receiver] = j
         else:

@@ -137,6 +137,11 @@ def test_generator_draws_as_the_reference(bench, seed):
     GenParams(3, 40, 8, 3, (BufferId(0, 0), BufferId(1, 1))),  # of eight
     GenParams(4, 12, 3, 12),               # crash quota == max steps
     GenParams(2, 1, 1, 1),                 # a crash with no slot to restart in
+    GenParams(3, 1, 2, 0),                 # one step, no crash
+    GenParams(3, 2, 2, 2),                 # two steps, crash quota == max steps
+    GenParams(2, 2, 1, 1),
+    GenParams(6, 30, 5, 30),               # every slot a crash candidate
+    build_raftlite(5, crash_quota=30).gen_defaults,
     GenParams(5, 64, 7, 40),
 ], ids=repr)
 def test_generator_edge_cases_draw_as_the_reference(params):

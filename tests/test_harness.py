@@ -1,7 +1,15 @@
+import hashlib
 import random
+from collections import Counter
 
-from schedfuzz.benchmarks import build_micro
+import pytest
+
+from schedfuzz.benchmarks import build_micro, build_raftlite, build_tpc
+from schedfuzz.benchmarks.raftlite import RaftLiteBench
 from schedfuzz.harness import (
+    EV_DELIVER,
+    EV_RESTART,
+    HarnessError,
     Message,
     SystemUnderTest,
     execute_schedule,
@@ -169,3 +177,94 @@ def test_no_delivery_to_a_process_killed_by_its_handler():
             if ev.step > death_step:
                 assert not (ev.kind == "deliver" and ev.recv == victim)
     assert checked > 0
+
+
+# sha256 over the whole ExecutionResult of 300 seeded random runs per
+# configuration.  Any change to what a run records, or in which order, shows
+# here.
+EXECUTION_PINS = {
+    "micro": "2857915d1a7b91aa40c90f6bd5be6be1d41b8f3b42f514bb376acc3a23a25e26",
+    "tpc": "0cddd555291a1678a0bf36c07a8905c3e97ecc7ab51da018659a63b05a0cabe0",
+    "raftlite5-quorum-bug-quota30":
+        "52b02a771fa0ee762e527a92d021073df4c81d6cb20d605d737f84c3e8b86eee",
+    "raftlite-compacting":
+        "df55cd08fe5cac4575030cbf00578ddd24a5a40ea26f19da07d1523070e4c5e8",
+}
+
+
+PINNED_RUNS = {
+    "micro": lambda: build_micro(bug_enabled=True),
+    "tpc": build_tpc,
+    "raftlite5-quorum-bug-quota30":
+        lambda: build_raftlite(5, quorum_bug=True, crash_quota=30),
+    "raftlite-compacting": lambda: build_raftlite(3, 6, snapshot_threshold=2),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_RUNS)
+def test_execution_results_are_pinned(name):
+    bench = PINNED_RUNS[name]()
+    rng = random.Random(4)
+    h = hashlib.sha256()
+    for _ in range(300):
+        r = execute_schedule(bench.sut, generate_random_schedule(bench.gen_defaults, rng))
+        h.update(repr((r.trace, sorted(r.points_hit), r.violations, r.final_states,
+                       r.ready)).encode())
+    assert h.hexdigest() == EXECUTION_PINS[name]
+
+
+class Stray(PingPong):
+    """Process 1 answers each ball to ``dest``, wherever that is."""
+
+    def __init__(self, dest, broadcast=False):
+        super().__init__(balls=2)
+        self.dest, self.broadcast = dest, broadcast
+
+    def handle(self, proc, state, msg, ctx):
+        if proc == 1 and self.broadcast:
+            ctx.broadcast((0, self.dest), "Stray", n=msg.field("n"))
+        elif proc == 1:
+            ctx.send(self.dest, "Stray", n=msg.field("n"))
+
+
+@pytest.mark.parametrize("dest", [2, -1, 7])
+@pytest.mark.parametrize("broadcast", [False, True])
+def test_a_send_out_of_range_is_a_harness_error(dest, broadcast):
+    s = Schedule(steps=(deliver(BufferId(0, 1)),))
+    with pytest.raises(HarnessError) as e:
+        execute_schedule(Stray(dest, broadcast), s)
+    assert str(e.value) == f"process 1 sent Stray to process {dest}, outside 0..1"
+
+
+def test_a_broadcast_in_range_lands_in_each_buffer():
+    s = Schedule(steps=(deliver(BufferId(0, 1), 2), deliver(BufferId(1, 0), 4)))
+    result = execute_schedule(Stray(0, broadcast=True), s)
+    to_0 = [(e.verb, e.field("n")) for e in result.trace.events if e.recv == 0]
+    assert to_0 == [("Stray", 0), ("Stray", 0), ("Stray", 1), ("Stray", 1)]
+
+
+def test_harness_reaches_the_benchmark_layers_under_their_names(monkeypatch):
+    """The benchmark times a system's handlers and oracle by patching these
+    methods on its class: a harness that bound them once would zero those
+    metrics silently."""
+    bench = build_raftlite(5, quorum_bug=True, crash_quota=30)
+    rng = random.Random(8)
+    execute_schedule(bench.sut, generate_random_schedule(bench.gen_defaults, rng))
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(self, *args):
+            calls[name] += 1
+            return fn(self, *args)
+        return wrapper
+
+    for name in ("handle", "recover", "oracle_observe"):
+        monkeypatch.setattr(RaftLiteBench, name, counted(name, getattr(RaftLiteBench, name)))
+    kinds = Counter()
+    for _ in range(50):
+        run = execute_schedule(bench.sut, generate_random_schedule(bench.gen_defaults, rng))
+        kinds.update(e.kind for e in run.trace.events)
+        kinds["events"] += len(run.trace.events)
+    assert min(kinds[EV_DELIVER], kinds[EV_RESTART]) > 0
+    assert calls == {"handle": kinds[EV_DELIVER], "recover": kinds[EV_RESTART],
+                     "oracle_observe": kinds["events"]}
