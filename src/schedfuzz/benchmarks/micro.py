@@ -157,56 +157,57 @@ def micro_model(m: int, n: int) -> Lts:
     initial = MicroState((), (), (0,) * m, (0,) * m, (), ())
 
     def step(q: MicroState, a: ModelAction):
-        name = a.name
+        registered, requests, completed, dispatched, to_terminate, terminated = q
+        name, args = a
         if name == "Register":
-            (p,) = a.args
-            if p in q.registered or p not in procs:
+            (p,) = args
+            if p in registered or p not in procs:
                 return None
-            return q._replace(registered=tuple(sorted(q.registered + (p,))))
+            return MicroState(tuple(sorted(registered + (p,))), requests, completed,
+                              dispatched, to_terminate, terminated)
         if name == "Request":
-            (r,) = a.args
-            if r in q.requests:
+            (r,) = args
+            if r in requests:
                 return None
-            if len(q.registered) == m + 1:
-                sent = list(q.dispatched)
-                sent[target - 1] = 1  # first task goes out with the grant
-                return q._replace(requests=tuple(sorted(q.requests + (r,))),
-                                  dispatched=tuple(sent))
+            if len(registered) == m + 1:
+                # the first task goes out with the grant
+                sent = dispatched[:target - 1] + (1,) + dispatched[target:]
+                return MicroState(registered, tuple(sorted(requests + (r,))), completed,
+                                  sent, to_terminate, terminated)
             return q  # dropped before the cluster is ready
         if name == "Relay":
-            w, idx = a.args
-            if not q.requests or not (1 <= w <= m) or idx > n:
+            w, idx = args
+            if not requests or not (1 <= w <= m) or idx > n:
                 return None
-            if q.dispatched[w - 1] != idx - 1 or q.completed[w - 1] != idx - 1:
+            if dispatched[w - 1] != idx - 1 or completed[w - 1] != idx - 1:
                 return None
-            sent = list(q.dispatched)
-            sent[w - 1] = idx
-            return q._replace(dispatched=tuple(sent))
+            sent = dispatched[:w - 1] + (idx,) + dispatched[w:]
+            return MicroState(registered, requests, completed, sent, to_terminate, terminated)
         if name == "Execute":
-            w, idx = a.args
-            if not q.requests or not (1 <= w <= m):
+            w, idx = args
+            if not requests or not (1 <= w <= m):
                 return None
-            if idx != q.completed[w - 1] + 1 or idx > n or q.dispatched[w - 1] != idx:
+            if idx != completed[w - 1] + 1 or idx > n or dispatched[w - 1] != idx:
                 return None
-            done = list(q.completed)
-            done[w - 1] = idx
+            done = completed[:w - 1] + (idx,) + completed[w:]
             if idx < n:
                 # An intermediate task heals a flushed buffer.
-                healed = tuple(x for x in q.terminated if x != w)
-                return q._replace(completed=tuple(done), terminated=healed)
-            if w in q.terminated:
+                terminated = tuple(x for x in terminated if x != w)
+            elif w in terminated:
                 return q  # final task is dropped (or dies) after a flush
-            return q._replace(completed=tuple(done))
+            return MicroState(registered, requests, done, dispatched, to_terminate, terminated)
         if name == "Terminate":
-            (w,) = a.args
-            if not q.requests or w in q.to_terminate:
+            (w,) = args
+            if not requests or w in to_terminate:
                 return None
-            return q._replace(to_terminate=tuple(sorted(q.to_terminate + (w,))))
+            return MicroState(registered, requests, completed, dispatched,
+                              tuple(sorted(to_terminate + (w,))), terminated)
         if name == "Flush":
-            (w,) = a.args
-            if w not in q.to_terminate or w in q.terminated:
+            (w,) = args
+            if w not in to_terminate or w in terminated:
                 return None
-            return q._replace(terminated=tuple(sorted(q.terminated + (w,))))
+            return MicroState(registered, requests, completed, dispatched, to_terminate,
+                              tuple(sorted(terminated + (w,))))
         raise MappingContractError(f"micro model knows no action {name!r}")
 
     def enabled(q: MicroState):

@@ -26,7 +26,8 @@ WORKING, PREPARED, REFUSED = 0, 1, 4
 
 
 def tx_vars(tx: int, var_count: int) -> tuple:
-    return tuple(sorted({tx % var_count, (tx + 1) % var_count}))
+    """Transaction ``tx``'s two variables, sorted (the same one twice when V = 1)."""
+    return tuple(sorted((tx % var_count, (tx + 1) % var_count)))
 
 
 class TpcBench(SystemUnderTest):
@@ -43,15 +44,13 @@ class TpcBench(SystemUnderTest):
         self.tm = 0
         self.rms = tuple(range(1, rm_count + 1))
         self.extra_buffers = (BufferId(0, 0),)  # client request channel
+        self._vars = tuple(tx_vars(tx, var_count) for tx in range(request_count))
+        self._requests = tuple(make_message("TxRequest", tx=tx) for tx in range(request_count))
 
     def init(self):
         states = [{"phase": {}, "yes": {}}]
         states += [{"locks": {}, "status": {}} for _ in self.rms]
-        inflight = [
-            (BufferId(0, 0), make_message("TxRequest", tx=tx))
-            for tx in range(self.request_count)
-        ]
-        return states, inflight
+        return states, [(BufferId(0, 0), msg) for msg in self._requests]
 
     def handle(self, proc, state, msg: Message, ctx):
         if proc == self.tm:
@@ -67,12 +66,13 @@ class TpcBench(SystemUnderTest):
             ctx.point("tm.request")
             ctx.broadcast(self.rms, "Prepare", tx=tx)
         elif msg.verb == "Vote":
-            tx = msg.field("tx")
+            f = dict(msg.fields)
+            tx = f["tx"]
             if state["phase"].get(tx) != COLLECTING:
                 ctx.point("tm.vote.late")
                 return
-            if msg.field("granted"):
-                state["yes"][tx].add(msg.field("rm"))
+            if f["granted"]:
+                state["yes"][tx].add(f["rm"])
                 ctx.point("tm.vote.yes")
                 if len(state["yes"][tx]) == self.rm_count:
                     state["phase"][tx] = COMMITTED
@@ -88,14 +88,14 @@ class TpcBench(SystemUnderTest):
     def _handle_rm(self, proc, state, msg, ctx):
         if msg.verb == "Prepare":
             tx = msg.field("tx")
-            needed = tx_vars(tx, self.var_count)
-            if any(v in state["locks"] for v in needed):
+            lo, hi = self._vars[tx]
+            locks = state["locks"]
+            if lo in locks or hi in locks:
                 state["status"][tx] = REFUSED
                 ctx.point("rm.vote.refuse")
                 ctx.send(self.tm, "Vote", tx=tx, granted=0, rm=proc)
             else:
-                for v in needed:
-                    state["locks"][v] = tx
+                locks[lo] = locks[hi] = tx
                 state["status"][tx] = PREPARED
                 ctx.point("rm.vote.grant")
                 ctx.send(self.tm, "Vote", tx=tx, granted=1, rm=proc)
@@ -133,16 +133,19 @@ class TpcBench(SystemUnderTest):
         return {"locks": dict(state["locks"]), "status": dict(state["status"])}
 
     def clone_oracle(self, ostate):
-        return {"decided": dict(ostate["decided"])}
+        return {"decided": dict(ostate["decided"]), "split": ostate["split"],
+                "by_tx": {tx: set(s) for tx, s in ostate["by_tx"].items()}}
 
     def oracle_init(self):
-        return {"decided": {}}  # (rm, tx) -> status
+        # (rm, tx) -> status; tx -> the statuses decided for it; whether a tx
+        # has two.  A decided entry is never overwritten, so "split" is sticky.
+        return {"decided": {}, "by_tx": {}, "split": False}
 
     def oracle_observe(self, ostate, event, states, alive):
         if event.verb != "Decision" or event.kind != "deliver":
             return []
         out = []
-        decided = ostate["decided"]
+        decided, by_tx = ostate["decided"], ostate["by_tx"]
         for rm in self.rms:
             if rm not in alive:
                 continue
@@ -152,12 +155,13 @@ class TpcBench(SystemUnderTest):
                 prev = decided.get((rm, tx))
                 if prev is None:
                     decided[(rm, tx)] = status
+                    seen = by_tx.setdefault(tx, set())
+                    seen.add(status)
+                    if len(seen) > 1:
+                        ostate["split"] = True
                 elif prev != status:
                     out.append("Stability: an RM re-decided a transaction")
-        by_tx = {}
-        for (rm, tx), status in decided.items():
-            by_tx.setdefault(tx, set()).add(status)
-        if any(len(s) > 1 for s in by_tx.values()):
+        if ostate["split"]:
             out.append("Atomicity: transaction committed and aborted")
         return out
 
@@ -189,68 +193,58 @@ def tpc_model(rm_count: int, var_count: int, request_count: int) -> Lts:
     )
 
     def step(q: TpcState, a: ModelAction):
-        name = a.name
+        tm, rms, locks, decided = q
+        name, args = a
         if name == "ClientRequest":
-            (tx,) = a.args
-            if not _valid_tx(tx) or q.tm[tx] != INIT:
+            (tx,) = args
+            if not _valid_tx(tx) or tm[tx] != INIT:
                 return None
-            return q._replace(tm=_set(q.tm, tx, COLLECTING))
+            return TpcState(_set(tm, tx, COLLECTING), rms, locks, decided)
         if name == "HandlePrepare":
-            rm, tx = a.args
+            rm, tx = args
             if not _valid_rm(rm) or not _valid_tx(tx):
                 return None
-            if q.tm[tx] == INIT or q.rm[rm - 1][tx] != WORKING:
+            if tm[tx] == INIT or rms[rm - 1][tx] != WORKING:
                 return None
-            locks = q.locks[rm - 1]
+            held = locks[rm - 1]
             needed = tx_vars(tx, var_count)
-            if any(locks[v] for v in needed):
-                return q._replace(rm=_set2(q.rm, rm - 1, tx, REFUSED))
-            new_locks = list(locks)
+            if any(held[v] for v in needed):
+                return TpcState(tm, _set2(rms, rm - 1, tx, REFUSED), locks, decided)
+            new_locks = list(held)
             for v in needed:
                 new_locks[v] = 1
-            return q._replace(
-                rm=_set2(q.rm, rm - 1, tx, PREPARED),
-                locks=_set(q.locks, rm - 1, tuple(new_locks)),
-            )
+            return TpcState(tm, _set2(rms, rm - 1, tx, PREPARED),
+                            _set(locks, rm - 1, tuple(new_locks)), decided)
         if name == "HandleVote":
-            tx, rm, granted = a.args
+            tx, rm, granted = args
             if not _valid_rm(rm) or not _valid_tx(tx):
                 return None
-            if q.rm[rm - 1][tx] == WORKING or q.tm[tx] == INIT:
+            if rms[rm - 1][tx] == WORKING or tm[tx] == INIT:
                 return None  # that RM has not voted
-            if q.tm[tx] == COLLECTING and not granted:
-                return q._replace(
-                    tm=_set(q.tm, tx, ABORTED),
-                    decided=tuple(sorted(q.decided + ((tx, ABORTED),))),
-                )
+            if tm[tx] == COLLECTING and not granted:
+                return TpcState(_set(tm, tx, ABORTED), rms, locks,
+                                tuple(sorted(decided + ((tx, ABORTED),))))
             return q  # tallying is invisible until a decision shows up
         if name == "HandleDecision":
-            rm, tx, commit = a.args
+            rm, tx, commit = args
             if not _valid_rm(rm) or not _valid_tx(tx):
                 return None
             want = COMMITTED if commit else ABORTED
-            tm = q.tm
-            decided = q.decided
-            if q.tm[tx] == COLLECTING and commit:
+            if tm[tx] == COLLECTING and commit:
                 # first commit decision observed: the tally filled up
-                tm = _set(q.tm, tx, COMMITTED)
+                tm = _set(tm, tx, COMMITTED)
                 decided = tuple(sorted(decided + ((tx, COMMITTED),)))
-            if tm[tx] != want or q.rm[rm - 1][tx] in (COMMITTED, ABORTED):
+            status = rms[rm - 1][tx]
+            if tm[tx] != want or status in (COMMITTED, ABORTED):
                 return None
-            locks = q.locks[rm - 1]
-            if q.rm[rm - 1][tx] == PREPARED:
+            held = locks[rm - 1]
+            if status == PREPARED:
                 # release exactly this transaction's variables: no other
                 # prepared transaction can share them
-                held = set(tx_vars(tx, var_count))
-                locks = tuple(
-                    0 if v in held else flag for v, flag in enumerate(locks)
-                )
-            return q._replace(
-                tm=tm,
-                rm=_set2(q.rm, rm - 1, tx, want),
-                locks=_set(q.locks, rm - 1, locks),
-                decided=decided,
-            )
+                needed = set(tx_vars(tx, var_count))
+                held = tuple(0 if v in needed else flag for v, flag in enumerate(held))
+            return TpcState(tm, _set2(rms, rm - 1, tx, want), _set(locks, rm - 1, held),
+                            decided)
         raise MappingContractError(f"tpc model knows no action {name!r}")
 
     def _valid_tx(tx) -> bool:

@@ -202,6 +202,7 @@ def cmd_run(args) -> int:
         "total_coverage": len(result.total_coverage),
         "model_states": len(result.state_coverage),
         "repeats": result.repeats,
+        "unmatched_actions": result.unmatched_actions,
         "bugs": [rec.key for rec in result.bug_log],
     }, indent=2))
     return 0

@@ -177,14 +177,15 @@ class SystemUnderTest:
 
 
 class HandlerContext:
-    """What a handler may do during one turn: send, broadcast, mark points, log markers."""
+    """What a handler may do in a turn: send, broadcast, log markers, mark points
+    (``point`` adds to the set ``points``)."""
 
-    __slots__ = ("outbox", "internals", "points")
+    __slots__ = ("outbox", "internals", "point")
 
-    def __init__(self):
+    def __init__(self, points=None):
         self.outbox: list = []
         self.internals: list = []
-        self.points: list = []
+        self.point = (set() if points is None else points).add
 
     def send(self, dest: int, verb: str, **fields) -> None:
         self.outbox.append((dest, Message(verb, tuple(sorted(fields.items())))))
@@ -196,9 +197,6 @@ class HandlerContext:
 
     def internal(self, verb: str, **fields) -> None:
         self.internals.append((verb, tuple(sorted(fields.items()))))
-
-    def point(self, point_id: str) -> None:
-        self.points.append(point_id)
 
 
 @dataclass
@@ -238,6 +236,7 @@ def init_state(sut: SystemUnderTest) -> HarnessState:
 
 def execute_schedule(sut: SystemUnderTest, schedule: Schedule) -> ExecutionResult:
     hs = init_state(sut)
+    turn = _turns(sut, hs)
     bit = sut.ready_bits.bit
     ready = [hs.ready]
     record = ready.append
@@ -245,13 +244,13 @@ def execute_schedule(sut: SystemUnderTest, schedule: Schedule) -> ExecutionResul
         if op == DELIVER:
             b = bit.get(buf)
             if b is None or hs.ready & b:
-                deliver(sut, hs, idx, buf, count)
+                deliver(sut, hs, idx, buf, count, turn)
             else:
                 hs.skipped.append(idx)  # deliver would skip it too
         elif op == CRASH:
             _do_crash(sut, hs, idx, buf.receiver)
         elif op == RESTART:
-            _do_restart(sut, hs, idx, buf.receiver)
+            _do_restart(sut, hs, idx, buf.receiver, turn)
         else:
             raise HarnessError(f"unknown op {op!r}")
         record(hs.ready)
@@ -269,69 +268,89 @@ def execute_schedule(sut: SystemUnderTest, schedule: Schedule) -> ExecutionResul
     )
 
 
-def _run_handler(sut, hs, idx, proc, sender, msg) -> None:
-    """One handler turn: deliver event, run handler, flush its context."""
-    event = ConcreteEvent(EV_DELIVER, proc, sender, msg.verb, msg.fields, idx)
-    ctx = HandlerContext()
-    try:
-        sut.handle(proc, hs.states[proc], msg, ctx)
-    except HarnessError:
-        raise
-    except Exception as e:
-        if isinstance(e, AssertionBug):
-            hs.violations.append(Violation(ASSERTION, str(e), idx))
+def _turns(sut: SystemUnderTest, hs: HarnessState):
+    """The run's one turn: ``turn(idx, proc, sender, msg)`` runs ``proc``'s handler
+    on ``msg`` (restarts ``proc`` if ``msg`` is None), then records the turn's
+    events and sends and shows each event to the oracle.  The system's methods
+    are looked up once per run, so a class patched between runs takes effect.
+    Every turn shares one context, whose points land straight in ``hs.points``."""
+    handle, recover, observe, bits = sut.handle, sut.recover, sut.oracle_observe, sut.ready_bits
+    states, alive, buffers, events, violations, oracle = (
+        hs.states, hs.alive, hs.buffers, hs.events, hs.violations, hs.oracle)
+    ctx = HandlerContext(hs.points)
+    outbox, internals = ctx.outbox, ctx.internals
+
+    def turn(idx, proc, sender, msg):
+        if msg is None:
+            event = ConcreteEvent(EV_RESTART, proc, None, "", (), idx)
+            states[proc] = recover(proc, hs.persisted.pop(proc), ctx)
+            alive.add(proc)
+            # Messages sent to proc while it was down wait in its buffers again.
+            hs.ready |= bits.control & bits.receives[proc]
+            for buf, q in buffers.items():
+                if q and buf.receiver == proc:
+                    hs.ready |= bits.bit.get(buf, 0)
         else:
-            hs.violations.append(
-                Violation(PANIC, f"{type(e).__name__} while handling {msg.verb}", idx)
-            )
-        _kill(sut, hs, proc)
-        # The turn aborted: pending sends and markers die with the process.
-        ctx.outbox.clear()
-        ctx.internals.clear()
-    _end_turn(sut, hs, idx, proc, event, ctx)
-
-
-def _end_turn(sut, hs, idx, proc, event, ctx) -> None:
-    """Record a turn's points, events and sends; then show its events to the oracle."""
-    hs.points.update(ctx.points)
-    turn_events = [event]
-    for verb, fields in ctx.internals:
-        turn_events.append(ConcreteEvent(EV_INTERNAL, proc, None, verb, fields, idx))
-    if ctx.outbox:
-        outbound = sut.ready_bits.outbound[proc]
-        for dest, out in ctx.outbox:
+            event = ConcreteEvent(EV_DELIVER, proc, sender, msg.verb, msg.fields, idx)
             try:
-                buf, b = outbound[dest]
-            except KeyError:
-                raise HarnessError(f"process {proc} sent {out.verb} to process {dest}, "
-                                   f"outside 0..{sut.process_count - 1}") from None
-            q = hs.buffers.get(buf)
-            if q is None:
-                q = hs.buffers[buf] = deque()
-            if not q and dest in hs.alive:
-                hs.ready |= b
-            q.append(out)
-    hs.events.extend(turn_events)
-    for ev in turn_events:
-        for desc in sut.oracle_observe(hs.oracle, ev, hs.states, hs.alive):
-            hs.violations.append(Violation(SAFETY, desc, idx))
+                handle(proc, states[proc], msg, ctx)
+            except HarnessError:
+                raise
+            except Exception as e:
+                violations.append(
+                    Violation(ASSERTION, str(e), idx) if isinstance(e, AssertionBug)
+                    else Violation(PANIC, f"{type(e).__name__} while handling {msg.verb}", idx))
+                _kill(sut, hs, proc)
+                # The turn aborted: pending sends and markers die with the process.
+                outbox.clear()
+                internals.clear()
+        if outbox:
+            sends = bits.outbound[proc]
+            for dest, out in outbox:
+                try:
+                    buf, b = sends[dest]
+                except KeyError:
+                    raise HarnessError(f"process {proc} sent {out.verb} to process {dest}, "
+                                       f"outside 0..{sut.process_count - 1}") from None
+                q = buffers.get(buf)
+                if q is None:
+                    q = buffers[buf] = deque()
+                if not q and dest in alive:
+                    hs.ready |= b
+                q.append(out)
+            outbox.clear()
+        # The oracle sees no trace, so each event may meet it as it is recorded.
+        events.append(event)
+        for desc in observe(oracle, event, states, alive):
+            violations.append(Violation(SAFETY, desc, idx))
+        for verb, fields in internals:
+            event = ConcreteEvent(EV_INTERNAL, proc, None, verb, fields, idx)
+            events.append(event)
+            for desc in observe(oracle, event, states, alive):
+                violations.append(Violation(SAFETY, desc, idx))
+        internals.clear()
+
+    return turn
 
 
 def deliver(sut: SystemUnderTest, hs: HarnessState, idx: int, buf: BufferId,
-            count: int) -> None:
+            count: int, turn=None) -> None:
     """Step ``idx`` delivers up to ``count`` messages from ``buf``, one turn each.
 
     The enumeration oracle drives executions message by message through this
-    entry point so its semantics can never drift from execute_schedule's.
+    entry point, and execute_schedule passes in its run's ``turn``, so their
+    semantics can never drift apart.
     """
     receiver = buf.receiver
     if receiver not in hs.alive:
         hs.skipped.append(idx)
         return
+    if turn is None:
+        turn = _turns(sut, hs)
     if buf in sut.control_buffers:
         # A control channel always holds exactly one pending message (it
         # regenerates after delivery), so a deliver step pops min(k, 1) = 1.
-        _run_handler(sut, hs, idx, receiver, buf.sender, sut.control_message(buf))
+        turn(idx, receiver, buf.sender, sut.control_message(buf))
         return
     q = hs.buffers.get(buf)
     if not q:
@@ -343,7 +362,7 @@ def deliver(sut: SystemUnderTest, hs: HarnessState, idx: int, buf: BufferId,
         msg = q.popleft()
         if not q:
             hs.ready &= ~sut.ready_bits.bit.get(buf, 0)
-        _run_handler(sut, hs, idx, receiver, buf.sender, msg)
+        turn(idx, receiver, buf.sender, msg)
 
 
 def _kill(sut, hs, proc) -> None:
@@ -368,20 +387,11 @@ def _do_crash(sut, hs, idx, proc) -> None:
         hs.violations.append(Violation(SAFETY, desc, idx))
 
 
-def _do_restart(sut, hs, idx, proc) -> None:
+def _do_restart(sut, hs, idx, proc, turn=None) -> None:
     if proc in hs.alive:
         hs.skipped.append(idx)
         return
-    ctx = HandlerContext()
-    hs.states[proc] = sut.recover(proc, hs.persisted.pop(proc), ctx)
-    hs.alive.add(proc)
-    # Messages sent to proc while it was down wait in its buffers again.
-    bits = sut.ready_bits
-    hs.ready |= bits.control & bits.receives[proc]
-    for buf, q in hs.buffers.items():
-        if q and buf.receiver == proc:
-            hs.ready |= bits.bit.get(buf, 0)
-    _end_turn(sut, hs, idx, proc, ConcreteEvent(EV_RESTART, proc, None, "", (), idx), ctx)
+    (turn or _turns(sut, hs))(idx, proc, None, None)
 
 
 def export_execution_json(result: ExecutionResult) -> bytes:

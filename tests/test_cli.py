@@ -1,10 +1,13 @@
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
 from schedfuzz import cli, fuzzer, stats
+from schedfuzz.benchmarks import make_benchmark
 from schedfuzz.cli import main
+from schedfuzz.fuzzer import CampaignConfig, fuzz_campaign
 
 
 def run_cli(capsys, *argv):
@@ -77,6 +80,34 @@ def test_run_summary_counts_the_repeats(tmp_path, capsys, monkeypatch):
     summary = json.loads(out)
     assert summary["repeats"] > 0
     assert summary["iterations"] - summary["repeats"] == len(runs)
+
+
+def test_run_summary_reports_the_unmatched_actions(tmp_path, capsys, monkeypatch):
+    """A model that diverges from its implementation is reported, not only
+    counted: here micro's model rejects every Execute, so the summary's
+    count is the campaign's and it is not 0."""
+    def diverging(name, params=None):
+        bench = make_benchmark(name, params)
+        step = bench.lts.step
+
+        def reject_execute(q, a):
+            return None if a.name == "Execute" else step(q, a)
+
+        lts = dataclasses.replace(bench.lts, step=reject_execute)
+        return dataclasses.replace(bench, lts=lts)
+
+    monkeypatch.setattr(cli, "make_benchmark", diverging)
+    argv = ["--param", "micro.m=1", "--param", "micro.n=2", "--budget", "200", "--seed", "5"]
+    code, out = run_cli(capsys, "run", "--bench", "micro", *argv, "--out", str(tmp_path))
+    assert code == 0
+    summary = json.loads(out)
+    config = CampaignConfig(benchmark=diverging("micro", {"micro.m": 1, "micro.n": 2}),
+                            notion="model", budget=200, master_seed=5)
+    assert summary["unmatched_actions"] == fuzz_campaign(config).unmatched_actions > 0
+
+    monkeypatch.setattr(cli, "make_benchmark", make_benchmark)
+    code, out = run_cli(capsys, "run", "--bench", "micro", *argv, "--out", str(tmp_path))
+    assert code == 0 and json.loads(out)["unmatched_actions"] == 0
 
 
 def test_replay_round_trips_a_bug_schedule(tmp_path, capsys):

@@ -358,3 +358,163 @@ def test_compacting_raft_runs_match_the_references():
                     snaps_moved += nxt.snaps != q.snaps
                     q = nxt
     assert compacting >= 20 and snaps_moved >= 20, (compacting, snaps_moved)
+
+
+def _reference_micro_step(m, n):
+    """micro's model step as first written, with _replace."""
+    procs = tuple(range(1, m + 2))
+    target = 1
+
+    def step(q, a):
+        name = a.name
+        if name == "Register":
+            (p,) = a.args
+            if p in q.registered or p not in procs:
+                return None
+            return q._replace(registered=tuple(sorted(q.registered + (p,))))
+        if name == "Request":
+            (r,) = a.args
+            if r in q.requests:
+                return None
+            if len(q.registered) == m + 1:
+                sent = list(q.dispatched)
+                sent[target - 1] = 1
+                return q._replace(requests=tuple(sorted(q.requests + (r,))),
+                                  dispatched=tuple(sent))
+            return q
+        if name == "Relay":
+            w, idx = a.args
+            if not q.requests or not (1 <= w <= m) or idx > n:
+                return None
+            if q.dispatched[w - 1] != idx - 1 or q.completed[w - 1] != idx - 1:
+                return None
+            sent = list(q.dispatched)
+            sent[w - 1] = idx
+            return q._replace(dispatched=tuple(sent))
+        if name == "Execute":
+            w, idx = a.args
+            if not q.requests or not (1 <= w <= m):
+                return None
+            if idx != q.completed[w - 1] + 1 or idx > n or q.dispatched[w - 1] != idx:
+                return None
+            done = list(q.completed)
+            done[w - 1] = idx
+            if idx < n:
+                healed = tuple(x for x in q.terminated if x != w)
+                return q._replace(completed=tuple(done), terminated=healed)
+            if w in q.terminated:
+                return q
+            return q._replace(completed=tuple(done))
+        if name == "Terminate":
+            (w,) = a.args
+            if not q.requests or w in q.to_terminate:
+                return None
+            return q._replace(to_terminate=tuple(sorted(q.to_terminate + (w,))))
+        if name == "Flush":
+            (w,) = a.args
+            if w not in q.to_terminate or w in q.terminated:
+                return None
+            return q._replace(terminated=tuple(sorted(q.terminated + (w,))))
+        raise MappingContractError(name)
+
+    return step
+
+
+def _reference_tpc_step(rm_count, var_count, request_count):
+    """tpc's model step as first written, with _replace and a variable set."""
+    from schedfuzz.benchmarks.tpc import ABORTED, COLLECTING, COMMITTED, INIT
+    from schedfuzz.benchmarks.tpc import PREPARED, REFUSED, WORKING
+
+    def tx_vars(tx):
+        return tuple(sorted({tx % var_count, (tx + 1) % var_count}))
+
+    def _set(t, i, v):
+        return t[:i] + (v,) + t[i + 1:]
+
+    def _set2(t, i, j, v):
+        return _set(t, i, _set(t[i], j, v))
+
+    def valid(rm, tx):
+        return 1 <= rm <= rm_count and 0 <= tx < request_count
+
+    def step(q, a):
+        name = a.name
+        if name == "ClientRequest":
+            (tx,) = a.args
+            if not 0 <= tx < request_count or q.tm[tx] != INIT:
+                return None
+            return q._replace(tm=_set(q.tm, tx, COLLECTING))
+        if name == "HandlePrepare":
+            rm, tx = a.args
+            if not valid(rm, tx):
+                return None
+            if q.tm[tx] == INIT or q.rm[rm - 1][tx] != WORKING:
+                return None
+            locks = q.locks[rm - 1]
+            needed = tx_vars(tx)
+            if any(locks[v] for v in needed):
+                return q._replace(rm=_set2(q.rm, rm - 1, tx, REFUSED))
+            new_locks = list(locks)
+            for v in needed:
+                new_locks[v] = 1
+            return q._replace(rm=_set2(q.rm, rm - 1, tx, PREPARED),
+                              locks=_set(q.locks, rm - 1, tuple(new_locks)))
+        if name == "HandleVote":
+            tx, rm, granted = a.args
+            if not valid(rm, tx):
+                return None
+            if q.rm[rm - 1][tx] == WORKING or q.tm[tx] == INIT:
+                return None
+            if q.tm[tx] == COLLECTING and not granted:
+                return q._replace(tm=_set(q.tm, tx, ABORTED),
+                                  decided=tuple(sorted(q.decided + ((tx, ABORTED),))))
+            return q
+        if name == "HandleDecision":
+            rm, tx, commit = a.args
+            if not valid(rm, tx):
+                return None
+            want = COMMITTED if commit else ABORTED
+            tm, decided = q.tm, q.decided
+            if q.tm[tx] == COLLECTING and commit:
+                tm = _set(q.tm, tx, COMMITTED)
+                decided = tuple(sorted(decided + ((tx, COMMITTED),)))
+            if tm[tx] != want or q.rm[rm - 1][tx] in (COMMITTED, ABORTED):
+                return None
+            locks = q.locks[rm - 1]
+            if q.rm[rm - 1][tx] == PREPARED:
+                held = set(tx_vars(tx))
+                locks = tuple(0 if v in held else flag for v, flag in enumerate(locks))
+            return q._replace(tm=tm, rm=_set2(q.rm, rm - 1, tx, want),
+                              locks=_set(q.locks, rm - 1, locks), decided=decided)
+        raise MappingContractError(name)
+
+    return step
+
+
+@pytest.mark.parametrize("bench,reference", [
+    (build_micro(), _reference_micro_step(2, 5)),
+    (build_micro(3, 2), _reference_micro_step(3, 2)),
+    (build_tpc(), _reference_tpc_step(3, 2, 5)),
+    (build_tpc(4, 1, 4), _reference_tpc_step(4, 1, 4)),
+], ids=lambda v: getattr(v, "name", ""))
+def test_micro_and_tpc_steps_match_the_replace_references(bench, reference):
+    """Every step of 1,000 random runs, each forwards and reversed (reversed
+    runs reach the rejections), against the step written with _replace."""
+    lts = bench.lts
+    rng = random.Random(len(bench.sut.extra_buffers) + bench.sut.process_count)
+    outcomes = Counter()
+    for _ in range(1000):
+        s = generate_random_schedule(bench.gen_defaults, rng)
+        actions = map_events(bench.name, execute_schedule(bench.sut, s).trace)
+        for acts in (actions, actions[::-1]):
+            q = lts.initial
+            for a in acts:
+                nxt, want = lts.step(q, a), reference(q, a)
+                assert nxt == want and type(nxt) is type(want), a
+                outcomes[a.name, "rejected" if nxt is None else
+                         "unchanged" if nxt == q else "changed"] += 1
+                q = q if nxt is None else nxt
+    names = {name for name, _ in outcomes}
+    for name in names:
+        assert outcomes[name, "changed"] > 0, name
+    assert sum(outcomes[name, "rejected"] for name in names) > 250, outcomes
