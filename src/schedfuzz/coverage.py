@@ -9,9 +9,7 @@ turned into the other by swapping adjacent independent events.
 
 from __future__ import annotations
 
-import copy
 import heapq
-from collections import deque
 from typing import NamedTuple
 
 from .fingerprint import _encoded, digest128, encode_canonical, fingerprint, remember
@@ -22,6 +20,7 @@ from .harness import (
     ConcreteEventTrace,
     ExecutionResult,
     HarnessState,
+    clone_hs,
     deliver,
     init_state,
 )
@@ -186,25 +185,6 @@ class EnumerationResult(NamedTuple):
     violation_keys: frozenset
 
 
-def _clone_hs(sut, hs: HarnessState) -> HarnessState:
-    c = HarnessState(
-        states=[
-            sut.clone_state(p, s) if s is not None else None
-            for p, s in enumerate(hs.states)
-        ]
-    )
-    c.buffers = {b: deque(q) for b, q in hs.buffers.items()}
-    c.alive = set(hs.alive)
-    c.persisted = copy.deepcopy(hs.persisted)
-    c.events = list(hs.events)
-    c.skipped = list(hs.skipped)
-    c.points = set(hs.points)
-    c.violations = list(hs.violations)
-    c.oracle = sut.clone_oracle(hs.oracle)
-    c.ready = hs.ready
-    return c
-
-
 def enumerate_orderings(bench, max_depth: int,
                         max_orderings: int = 1_000_000,
                         keep_events: bool = False) -> EnumerationResult:
@@ -247,7 +227,7 @@ def enumerate_orderings(bench, max_depth: int,
             all_violations.update(v.key for v in hs.violations)
             return
         for buf in options:
-            child = _clone_hs(sut, hs)
+            child = clone_hs(sut, hs)
             deliver(sut, child, depth, buf, 1)
             walk(child, depth + 1)
 

@@ -3,11 +3,13 @@
 Each iteration executes one schedule, measures its coverage under the
 configured notion, and, when the execution covered anything new, spawns
 energy-many mutants of that schedule (energy is proportional to the number
-of new items).  A mutant's mutation is drawn when its parent is assessed and
-the mutant is built when it is dequeued; a mutant equal to a schedule already
-run in the campaign, or proved to repeat its parent's run, still counts as an
-iteration but is not executed.  When the queue drains, a fresh random corpus
-is generated and the cycle repeats until the budget runs out.
+of new items).  A parent's mutations are drawn when the first of its mutants
+is dequeued, and each mutant is built when it is dequeued; a mutant equal to
+a schedule already run in the campaign, or proved to repeat its parent's run,
+still counts as an iteration but is not executed.  Any other mutant resumes
+from a checkpoint of its parent's run, taken by an earlier sibling, near
+where it can first diverge from it.  When the queue drains, a fresh random
+corpus is generated and the cycle repeats until the budget runs out.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import NamedTuple
 
 from .benchmarks import NO_CRASHES, Benchmark
 from .coverage import MODEL, NOTIONS, assess, model_state_items
-from .harness import EV_DELIVER, ExecutionResult, ReadyBits, execute_schedule
+from .harness import EV_DELIVER, ExecutionResult, ReadyBits, clone_hs, execute_schedule
 from .mapper import map_events
 from .model import run_actions
 from .schedule import (
@@ -39,6 +41,9 @@ SWAP_CRASH_PROCESSES = "SwapCrashProcesses"
 SWAP_MAX_MESSAGES = "SwapMaxMessages"
 AUTO = "Auto"
 MUTATION_KINDS = (SWAP_BUFFERS, SWAP_CRASH_PROCESSES, SWAP_MAX_MESSAGES)
+# A mutant resumes only at a step its parent's run reached after this many
+# events: a checkpoint copy costs about as much as a few events.
+RESUME_EVENTS = 8
 
 
 class CampaignConfigError(ValueError):
@@ -154,22 +159,24 @@ def build_mutant(s: Schedule, m: Mutation | None) -> Schedule:
     return Schedule(steps=tuple(steps), seed=s.seed)
 
 
-def unchanged_by(s: Schedule, run: ExecutionResult, bits: ReadyBits):
-    """A test of whether a mutation of ``s`` leaves its run ``run`` unchanged.
+def divergence(s: Schedule, run: ExecutionResult, bits: ReadyBits):
+    """The first step at which a mutation of ``s`` can make a run differ from
+    ``run``, or ``len(s.steps)`` when it provably leaves the run unchanged.
 
     Proof, by ``deliver``'s loop.  The runs agree up to the first step the
     mutation touches; deliver events carry their step's index, so a step that
-    delivers differently changes the trace for good.  SwapBuffers(i, j) of
-    distinct buffers: if neither is deliverable at the start of step i or j,
-    both steps skip in both runs; otherwise the first such step delivers from
-    different buffers.  SwapMaxMessages(i, j): with d the parent's deliver
-    events of a step, a control buffer pops one message whatever the count and
-    d = 0 is a skip, so any count keeps the step.  A step that delivered its
-    full count and left its buffer deliverable delivers more or fewer under any
-    other count.  Any other step delivered d and then found its buffer
-    undeliverable, as again under any count >= d, while fewer changes it.  Once
-    the earlier step is kept, the later one starts from the parent's state.
-    No rule covers SwapCrashProcesses or a buffer without a bit in ``bits``.
+    delivers differently changes the trace for good.  SwapBuffers(i < j) of
+    distinct buffers: a step where neither is deliverable skips in both runs,
+    so the runs agree up to step j if that holds at i, and for good if it
+    holds at j too; otherwise that step delivers from different buffers.
+    SwapMaxMessages(i < j): with d the parent's deliver events of a step, a
+    control buffer pops one message whatever the count and d = 0 is a skip,
+    so any count keeps the step.  A step that delivered its full count and
+    left its buffer deliverable delivers more or fewer under any other count.
+    Any other step delivered d and then found its buffer undeliverable, as
+    again under any count >= d, while fewer changes it.  Once step i is kept,
+    step j starts from the parent's state.  SwapCrashProcesses, or a buffer
+    without a bit in ``bits``, can change the run from step min(i, j).
     """
     ready, bit, steps = run.ready, bits.bit, s.steps
     delivered = Counter(e.step for e in run.trace.events if e.kind == EV_DELIVER)
@@ -182,17 +189,25 @@ def unchanged_by(s: Schedule, run: ExecutionResult, bits: ReadyBits):
             return count == d
         return count >= d
 
-    def unchanged(m: Mutation) -> bool:
-        if m.kind == SWAP_CRASH_PROCESSES:
-            return False
-        bi, bj = bit.get(steps[m.i].buffer), bit.get(steps[m.j].buffer)
-        if bi is None or bj is None:
-            return False
+    def diverge(m: Mutation) -> int:
+        i, j = sorted((m.i, m.j))
+        bi, bj = bit.get(steps[i].buffer), bit.get(steps[j].buffer)
+        if m.kind == SWAP_CRASH_PROCESSES or bi is None or bj is None:
+            return i
         if m.kind == SWAP_BUFFERS:
-            return bi == bj or not (ready[m.i] | ready[m.j]) & (bi | bj)
-        return fits(m.i, bi, steps[m.j].count) and fits(m.j, bj, steps[m.i].count)
+            both = 0 if bi == bj else bi | bj
+            return i if ready[i] & both else j if ready[j] & both else len(steps)
+        if not fits(i, bi, steps[j].count):
+            return i
+        return j if not fits(j, bj, steps[i].count) else len(steps)
 
-    return unchanged
+    return diverge
+
+
+def unchanged_by(s: Schedule, run: ExecutionResult, bits: ReadyBits):
+    """A test of whether a mutation of ``s`` leaves its run ``run`` unchanged."""
+    diverge = divergence(s, run, bits)
+    return lambda m: diverge(m) == len(s.steps)
 
 
 def mutate(s: Schedule, kind: str, rng: random.Random, *,
@@ -309,14 +324,16 @@ def fuzz_campaign(config: CampaignConfig) -> CampaignResult:
         nonlocal next_id
         out = []
         for _ in range(config.corpus_size):
-            out.append((generate_random_schedule(gen, rng), None,
-                        next_id, None, iteration, None))
+            out.append((generate_random_schedule(gen, rng), next_id, None, iteration, None))
             next_id += 1
         return out
 
-    # Queued: (base, mutation, entry_id, parent, discovered_at, proved_same);
-    # the schedule is build_mutant(base, mutation), made when it is dequeued.
+    # Queued: (schedule, entry_id, parent, discovered_at, siblings); a mutant
+    # holds its parent's schedule and shares siblings = (divergence of the
+    # parent's run, the step of its RESUME_EVENTS-th event or None, the first
+    # sibling's id, their number) with the parent's other mutants.
     queue = deque(fresh_entries(0))
+    family = held = None  # the siblings being dequeued, and their checkpoints
     iteration = 0
     while iteration < config.budget:
         if deadline is not None and time.monotonic() >= deadline:
@@ -324,13 +341,24 @@ def fuzz_campaign(config: CampaignConfig) -> CampaignResult:
         if not queue:
             queue.extend(fresh_entries(iteration))
             result.repopulations += 1
-        base, mutation, entry_id, parent, discovered_at, proved_same = queue.popleft()
+        schedule, entry_id, parent, discovered_at, siblings = queue.popleft()
         iteration += 1
-        # A proved repeat is answered by the memo with its parent's run.
-        if mutation is not None and proved_same(mutation):
-            mutation = None
-        schedule = build_mutant(base, mutation)
-        if parent is not None:
+        start = marks = None
+        if siblings is not None:
+            diverge, floor, first, drawn = siblings
+            if siblings is not family:
+                # The first sibling dequeued draws them all: siblings are
+                # contiguous in the queue, so the rng order is unchanged.
+                family, held, n = siblings, {}, len(schedule.steps)
+                summary = mutation_summary(schedule, bench.sut.process_count)
+                mutations = [draw_mutation(summary, AUTO, rng) for _ in range(drawn)]
+                ends = [n if m is None else diverge(m) for m in mutations]
+                # The steps later siblings may resume at, 0 where none may.
+                resumes = None if floor is None else [d if floor < d < n else 0 for d in ends]
+            k = entry_id - first
+            # A proved repeat is answered by the memo with its parent's run.
+            if ends[k] < n:
+                schedule = build_mutant(schedule, mutations[k])
             unmatched = executed.get(schedule)
             if unmatched is not None:
                 # Execution is deterministic, so this run would repeat the
@@ -340,8 +368,20 @@ def fuzz_campaign(config: CampaignConfig) -> CampaignResult:
                 result.repeats += 1
                 result.timeline.append((iteration, len(total), iteration, len(states)))
                 continue
-        exec_result = execute_schedule(bench.sut, schedule)
-
+            if resumes:
+                # Resume from the last checkpoint before this mutant diverges,
+                # copied if a later sibling may resume from it too, and take
+                # new ones on the way for the later siblings.
+                d, later = ends[k], resumes[k + 1:]
+                c = max((x for x in held if x <= d), default=0)
+                if c:
+                    hs, ready = start = held.pop(c)
+                    if any(x >= c for x in later):
+                        held[c], start = start, (clone_hs(bench.sut, hs), ready)
+                marks = {x: None for x in later if c < x <= d}
+        exec_result = execute_schedule(bench.sut, schedule, start, marks)
+        if marks:
+            held.update(marks)
         unmatched = 0
         if need_model:
             actions = map_events(bench.name, exec_result.trace)
@@ -369,17 +409,18 @@ def fuzz_campaign(config: CampaignConfig) -> CampaignResult:
             energy = assign_energy(len(new_items), config.energy_per_item)
             result.corpus.append(
                 CorpusEntry(schedule, entry_id, parent, discovered_at, energy))
-            # Mutations are drawn now, in rng order, and built when dequeued;
-            # mutants join the back of the queue, FIFO after their parent.
-            # Refills wait for an empty queue, so entries past the iterations
-            # left are never run: those mutants are counted, not drawn.
+            # Mutants join the back of the queue, FIFO after their parent, and
+            # are drawn and built when dequeued.  Refills wait for an empty
+            # queue, so entries past the iterations left are never run: those
+            # mutants are counted, not queued.
             drawn = max(0, min(energy, config.budget - iteration - len(queue)))
             if drawn:
-                summary = mutation_summary(schedule, bench.sut.process_count)
-                unchanged = unchanged_by(schedule, exec_result, bits)
-                for eid in range(next_id, next_id + drawn):
-                    queue.append((schedule, draw_mutation(summary, AUTO, rng),
-                                  eid, entry_id, iteration, unchanged))
+                events = exec_result.trace.events
+                floor = (events[RESUME_EVENTS - 1].step
+                         if len(events) >= RESUME_EVENTS else None)
+                siblings = (divergence(schedule, exec_result, bits), floor, next_id, drawn)
+                queue.extend((schedule, eid, entry_id, iteration, siblings)
+                             for eid in range(next_id, next_id + drawn))
             next_id += energy
             unqueued += energy - drawn
             result.spawned_mutants += energy

@@ -129,7 +129,8 @@ class SystemUnderTest:
         raise NotImplementedError
 
     def persistent_state(self, proc: int, state):
-        """The part of a process state that survives a crash."""
+        """The part of a process state that survives a crash; it is never
+        mutated once returned (``recover`` copies what it changes)."""
         raise NotImplementedError
 
     def recover(self, proc: int, persisted, ctx: "HandlerContext"):
@@ -163,17 +164,12 @@ class SystemUnderTest:
         """Return [(description, ...)] safety violations for this event."""
         return []
 
-    # Deep copies for the enumeration oracle; benchmarks override with
-    # structure-aware copies because copy.deepcopy dominates the DFS.
+    # Copies that share nothing mutable with the original, for clone_hs.
     def clone_state(self, proc: int, state):
-        import copy
-
-        return copy.deepcopy(state)
+        raise NotImplementedError
 
     def clone_oracle(self, ostate):
-        import copy
-
-        return copy.deepcopy(ostate)
+        raise NotImplementedError
 
 
 class HandlerContext:
@@ -202,7 +198,7 @@ class HandlerContext:
 @dataclass
 class HarnessState:
     """Mutable state of one execution: ``init_state`` makes a fresh one per
-    schedule run, and the enumeration oracle clones it at each branch."""
+    schedule run, and ``clone_hs`` copies it for a branch or a checkpoint."""
 
     states: list
     buffers: dict = field(default_factory=dict)  # BufferId -> deque[Message]
@@ -234,26 +230,48 @@ def init_state(sut: SystemUnderTest) -> HarnessState:
     return hs
 
 
-def execute_schedule(sut: SystemUnderTest, schedule: Schedule) -> ExecutionResult:
-    hs = init_state(sut)
+def clone_hs(sut: SystemUnderTest, hs: HarnessState) -> HarnessState:
+    """A copy of ``hs`` that shares nothing a run mutates: persisted values,
+    never mutated once stored, are shared."""
+    return HarnessState(
+        [None if s is None else sut.clone_state(p, s) for p, s in enumerate(hs.states)],
+        {b: deque(q) for b, q in hs.buffers.items()}, set(hs.alive), dict(hs.persisted),
+        list(hs.events), list(hs.skipped), set(hs.points), list(hs.violations),
+        sut.clone_oracle(hs.oracle), hs.ready)
+
+
+def execute_schedule(sut: SystemUnderTest, schedule: Schedule, start=None,
+                     marks=None) -> ExecutionResult:
+    """Run ``schedule`` from the start, or from ``start``: a checkpoint
+    ``(hs, ready)`` of a run that agreed with this one before step
+    ``len(ready) - 1``, whose ``hs`` this run uses up.  Each step in the dict
+    ``marks``, none before the start, gets this run's checkpoint there."""
+    if start is None:
+        hs = init_state(sut)
+        ready = [hs.ready]
+    else:
+        hs, ready = start[0], list(start[1])
     turn = _turns(sut, hs)
     bit = sut.ready_bits.bit
-    ready = [hs.ready]
     record = ready.append
-    for idx, (buf, op, count) in enumerate(schedule.steps):
-        if op == DELIVER:
-            b = bit.get(buf)
-            if b is None or hs.ready & b:
-                deliver(sut, hs, idx, buf, count, turn)
+    steps = schedule.steps
+    for stop in (sorted(marks) + [len(steps)] if marks else (len(steps),)):
+        for idx, (buf, op, count) in enumerate(steps[len(ready) - 1:stop], len(ready) - 1):
+            if op == DELIVER:
+                b = bit.get(buf)
+                if b is None or hs.ready & b:
+                    deliver(sut, hs, idx, buf, count, turn)
+                else:
+                    hs.skipped.append(idx)  # deliver would skip it too
+            elif op == CRASH:
+                _do_crash(sut, hs, idx, buf.receiver)
+            elif op == RESTART:
+                _do_restart(sut, hs, idx, buf.receiver, turn)
             else:
-                hs.skipped.append(idx)  # deliver would skip it too
-        elif op == CRASH:
-            _do_crash(sut, hs, idx, buf.receiver)
-        elif op == RESTART:
-            _do_restart(sut, hs, idx, buf.receiver, turn)
-        else:
-            raise HarnessError(f"unknown op {op!r}")
-        record(hs.ready)
+                raise HarnessError(f"unknown op {op!r}")
+            record(hs.ready)
+        if marks and stop in marks:
+            marks[stop] = (clone_hs(sut, hs), tuple(ready))
 
     final = tuple(
         sut.snapshot(p, hs.states[p]) if p in hs.alive else None

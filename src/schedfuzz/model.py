@@ -111,15 +111,6 @@ def bfs_reachable(lts: Lts, depth_limit: int | None = None,
     )
 
 
-def abstract_raft_states(path) -> list:
-    """A state path as coverage sees it: each state that merge_terms merges
-    into the state before it on the output is replaced by that state."""
-    out = list(path[:1])
-    for state in path[1:]:
-        out.append(out[-1] if merge_terms(out[-1], state) else state)
-    return out
-
-
 def merge_terms(a, b) -> bool:
     """Whether raft state ``b`` merges into ``a``: the two differ only in the
     current terms of processes that are not leaders (term-number churn)."""

@@ -68,9 +68,9 @@ def test_run_writes_outputs(tmp_path, capsys):
 def test_run_summary_counts_the_repeats(tmp_path, capsys, monkeypatch):
     runs = []
 
-    def counting(sut, schedule):
+    def counting(sut, schedule, *resume):
         runs.append(schedule)
-        return execute(sut, schedule)
+        return execute(sut, schedule, *resume)
 
     execute = fuzzer.execute_schedule
     monkeypatch.setattr(fuzzer, "execute_schedule", counting)

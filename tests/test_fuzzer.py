@@ -288,9 +288,9 @@ def test_mutants_drawn_from_one_summary_match_eager_mutate(name):
 def test_repeated_schedules_are_not_executed_again(monkeypatch):
     runs = []
 
-    def recording(sut, schedule):
+    def recording(sut, schedule, *resume):
         runs.append(schedule)
-        return execute_schedule(sut, schedule)
+        return execute_schedule(sut, schedule, *resume)
 
     monkeypatch.setattr(fuzzer, "execute_schedule", recording)
     res = _campaign(bench=build_raftlite(5, 2, quorum_bug=True), budget=400, seed=2)

@@ -6,9 +6,9 @@ import pytest
 from schedfuzz.benchmarks import build_tpc
 from schedfuzz.benchmarks.tpc import ABORTED, COMMITTED, TpcBench
 from schedfuzz.cli import main
-from schedfuzz.coverage import _clone_hs, enumerate_orderings
+from schedfuzz.coverage import enumerate_orderings
 from schedfuzz.fuzzer import CampaignConfig, CampaignConfigError, fuzz_campaign
-from schedfuzz.harness import deliver, execute_schedule, init_state
+from schedfuzz.harness import clone_hs, deliver, execute_schedule, init_state
 from schedfuzz.mapper import map_events
 from schedfuzz.model import run_actions
 from schedfuzz.schedule import GenParams, generate_random_schedule
@@ -182,7 +182,7 @@ def test_oracle_matches_the_rescanning_reference(cls, config):
 
 
 def test_a_cloned_oracle_is_independent_of_its_original():
-    """Branch runs as the enumeration oracle does, through _clone_hs: the
+    """Branch runs as the enumeration oracle does, through clone_hs: the
     original and the clone each go on with their own steps, and each
     matches the reference at every event."""
     config = (3, 1, 4)
@@ -196,7 +196,7 @@ def test_a_cloned_oracle_is_independent_of_its_original():
         hs = init_state(sut)
         for idx, (buf, _, count) in enumerate(steps[:cut]):
             deliver(sut, hs, idx, buf, count)
-        branches = [hs, _clone_hs(sut, hs)]
+        branches = [hs, clone_hs(sut, hs)]
         tails = (steps[cut:], generate_random_schedule(params, rng).steps)
         for branch, tail in zip(branches, tails):
             for idx, (buf, _, count) in enumerate(tail, cut):

@@ -1,12 +1,15 @@
 """Handler turns against their reference path.
 
-``_end_turn`` takes each send's buffer and bit from the per-sender table
-``ReadyBits.outbound``, ``HandlerContext.broadcast`` shares one message among
-its receivers, and ``execute_schedule`` unpacks each step.  The references
-below are the harness turn as first written: a context whose ``broadcast`` is
-a loop of ``send``, a ``BufferId`` and a ``ready_bits.bit`` lookup per send,
-and an ``_observe`` call per event.  Every run must give the same
-``ExecutionResult`` and leave the same ``HarnessState``.
+``harness._turns`` builds one turn function per run.  It takes each send's
+buffer and bit from the per-sender table ``ReadyBits.outbound`` and shows each
+event to the oracle as it records it.  All turns of a run share one
+``HandlerContext``, whose ``broadcast`` shares one message among its
+receivers, and ``execute_schedule`` unpacks each step.  The references below
+(``_run_handler``, ``_end_turn``, ``_observe``) are the harness turn as first
+written: a new context per turn whose ``broadcast`` is a loop of ``send``, a
+``BufferId`` and a ``ready_bits.bit`` lookup per send, and an ``_observe``
+call per event.  Every run must give the same ``ExecutionResult`` and leave
+the same ``HarnessState``.
 """
 
 import random
