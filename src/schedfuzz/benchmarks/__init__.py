@@ -1,4 +1,5 @@
-"""Benchmark registry: a benchmark bundles a system, its model, and defaults."""
+"""Benchmark registry: a benchmark bundles a system, its model, the table that
+maps the system's events to model actions, and defaults."""
 
 from __future__ import annotations
 
@@ -7,9 +8,7 @@ from dataclasses import dataclass
 from ..harness import SystemUnderTest
 from ..model import Lts
 from ..schedule import DELIVER, GenParams, Schedule, ScheduleError, validate_schedule
-from .micro import MicroBench, micro_model
-from .raftlite import RaftLiteBench, raftlite_model
-from .tpc import TpcBench, tpc_model
+from . import micro, raftlite, tpc
 
 
 NO_CRASHES = "benchmark {!r} does not tolerate crash schedules"
@@ -20,6 +19,7 @@ class Benchmark:
     name: str
     sut: SystemUnderTest
     lts: Lts
+    events: dict  # verb -> (model action, argument sources), see mapper
     gen_defaults: GenParams
 
     def check_schedule(self, schedule: Schedule) -> None:
@@ -56,33 +56,29 @@ def _gen(sut: SystemUnderTest, max_steps: int, max_messages: int, quota: int) ->
 
 def build_micro(m: int = 2, n: int = 5, bug_enabled: bool = True,
                 max_steps: int = 60) -> Benchmark:
-    sut = MicroBench(m=m, n=n, bug_enabled=bug_enabled)
-    return Benchmark("micro", sut, micro_model(m=m, n=n), _gen(sut, max_steps, 1, 0))
+    sut = micro.MicroBench(m=m, n=n, bug_enabled=bug_enabled)
+    return Benchmark("micro", sut, micro.micro_model(m=m, n=n), micro.EVENTS,
+                     _gen(sut, max_steps, 1, 0))
 
 
 def build_tpc(rm_count: int = 3, var_count: int = 2, request_count: int = 5,
               max_steps: int = 100) -> Benchmark:
-    sut = TpcBench(rm_count=rm_count, var_count=var_count, request_count=request_count)
-    return Benchmark(
-        "tpc", sut, tpc_model(rm_count, var_count, request_count),
-        _gen(sut, max_steps, 5, 0),
-    )
+    sut = tpc.TpcBench(rm_count=rm_count, var_count=var_count, request_count=request_count)
+    return Benchmark("tpc", sut, tpc.tpc_model(rm_count, var_count, request_count),
+                     tpc.EVENTS, _gen(sut, max_steps, 5, 0))
 
 
 def build_raftlite(proc_count: int = 3, request_count: int = 2,
                    quorum_bug: bool = False, snapshot_threshold: int = 8,
                    max_steps: int = 100, crash_quota: int = 10) -> Benchmark:
-    sut = RaftLiteBench(
+    sut = raftlite.RaftLiteBench(
         proc_count=proc_count,
         request_count=request_count,
         quorum_bug=quorum_bug,
         snapshot_threshold=snapshot_threshold,
     )
-    return Benchmark(
-        "raftlite", sut,
-        raftlite_model(proc_count),
-        _gen(sut, max_steps, 5, crash_quota),
-    )
+    return Benchmark("raftlite", sut, raftlite.raftlite_model(proc_count), raftlite.EVENTS,
+                     _gen(sut, max_steps, 5, crash_quota))
 
 
 _BOOLS = {"1": True, "true": True, "yes": True, "on": True,

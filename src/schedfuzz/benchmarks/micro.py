@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from ..harness import AssertionBug, HarnessError, Message, SystemUnderTest, make_message
+from ..mapper import RECV
 from ..model import Lts, MappingContractError, ModelAction
 from ..schedule import BufferId
 
@@ -151,6 +152,16 @@ class MicroState(NamedTuple):
     terminated: tuple
 
 
+EVENTS = {
+    "Register": ("Register", ("proc",)),
+    "Request": ("Request", ("req",)),
+    "Execute": ("Execute", (RECV, "idx")),
+    "Relay": ("Relay", ("worker", "idx")),
+    "Terminate": ("Terminate", ("worker",)),
+    "Flush": ("Flush", (RECV,)),
+}
+
+
 def micro_model(m: int, n: int) -> Lts:
     procs = tuple(range(1, m + 2))  # workers then terminator
     target = 1  # requests are dispatched to the first worker
@@ -229,5 +240,5 @@ def micro_model(m: int, n: int) -> Lts:
                 acts.append(ModelAction("Flush", (w,)))
         return acts
 
-    return Lts(name="micro", initial=initial, step=step, enabled=enabled)
+    return Lts(initial=initial, step=step, enabled=enabled)
 

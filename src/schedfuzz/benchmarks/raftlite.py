@@ -21,7 +21,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from ..harness import Message, SystemUnderTest, make_message
-from ..model import Lts, MappingContractError, ModelAction, merge_terms
+from ..mapper import RECV
+from ..model import Lts, MappingContractError, ModelAction
 from ..schedule import BufferId
 
 FOLLOWER, CANDIDATE, LEADER = 0, 1, 2
@@ -380,6 +381,34 @@ class RaftState(NamedTuple):
     active: tuple  # sorted live process ids
 
 
+def merge_terms(a: RaftState, b: RaftState) -> bool:
+    """Whether state ``b`` merges into ``a``: the two differ only in the
+    current terms of processes that are not leaders (term-number churn)."""
+    if a is b:
+        return True
+    if a.roles != b.roles or a.logs != b.logs or a.snaps != b.snaps or a.active != b.active:
+        return False
+    for ta, tb, role in zip(a.terms, b.terms, a.roles):
+        if ta != tb and role == LEADER:
+            return False
+    return True
+
+
+# A nil AppendEntriesResponse maps like any other: the model reads only its term.
+EVENTS = {
+    "LeaderElected": ("ElectLeader", (RECV, "term")),
+    "ClientRequestServed": ("ClientRequest", (RECV, "serial")),
+    "SnapshotCompacted": ("UpdateSnapshotIndex", (RECV, "index")),
+    "Timeout": ("Timeout", (RECV,)),
+    "RequestVote": ("HandleRequestVoteRequest", (RECV, "term", "cand")),
+    "RequestVoteResponse": ("HandleRequestVoteResponse", (RECV, "term", "granted")),
+    "AppendEntries": ("HandleAppendEntriesRequest",
+                      (RECV, "term", "prev_idx", "prev_term", "entries", "commit")),
+    "AppendEntriesResponse": ("HandleAppendEntriesResponse",
+                              (RECV, "term", "success", "match")),
+}
+
+
 def raftlite_model(proc_count: int) -> Lts:
     initial = RaftState(
         terms=(0,) * proc_count,
@@ -423,7 +452,7 @@ def raftlite_model(proc_count: int) -> Lts:
             entry = (terms[p], serial)
             return RaftState(terms, roles, _set(logs, p, logs[p] + (entry,)), snaps, active)
         if name in ("HandleRequestVoteRequest", "HandleRequestVoteResponse",
-                    "HandleAppendEntriesResponse", "HandleNilAppendEntriesResponse"):
+                    "HandleAppendEntriesResponse"):
             term = args[1]
             if term > terms[p]:
                 return RaftState(_set(terms, p, term), _set(roles, p, FOLLOWER),
@@ -470,13 +499,7 @@ def raftlite_model(proc_count: int) -> Lts:
                 acts.append(ModelAction("Restart", (p,)))
         return acts
 
-    return Lts(
-        name="raftlite",
-        initial=initial,
-        step=step,
-        enabled=enabled,
-        merges=merge_terms,
-    )
+    return Lts(initial=initial, step=step, enabled=enabled, merges=merge_terms)
 
 
 def _set(t: tuple, i: int, v) -> tuple:

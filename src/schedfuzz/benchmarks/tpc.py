@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from ..harness import HarnessError, Message, SystemUnderTest, make_message
+from ..mapper import RECV, SEND
 from ..model import Lts, MappingContractError, ModelAction
 from ..schedule import BufferId
 
@@ -183,6 +184,14 @@ class TpcState(NamedTuple):
     decided: tuple  # sorted (tx, COMMITTED|ABORTED) pairs
 
 
+EVENTS = {
+    "TxRequest": ("ClientRequest", ("tx",)),
+    "Prepare": ("HandlePrepare", (RECV, "tx")),
+    "Vote": ("HandleVote", ("tx", SEND, "granted")),
+    "Decision": ("HandleDecision", (RECV, "tx", "commit")),
+}
+
+
 def tpc_model(rm_count: int, var_count: int, request_count: int) -> Lts:
     txs = range(request_count)
     initial = TpcState(
@@ -276,7 +285,7 @@ def tpc_model(rm_count: int, var_count: int, request_count: int) -> Lts:
                         acts.append(ModelAction("HandleDecision", (rm, tx, commit)))
         return acts
 
-    return Lts(name="tpc", initial=initial, step=step, enabled=enabled)
+    return Lts(initial=initial, step=step, enabled=enabled)
 
 
 def _set(t: tuple, i: int, v) -> tuple:

@@ -15,10 +15,10 @@ import sys
 from pathlib import Path
 
 from .benchmarks import BENCHMARKS, make_benchmark
-from .coverage import NOTIONS, enumerate_orderings
+from .coverage import NOTIONS, EnumerationExplosion, enumerate_orderings
 from .fuzzer import CampaignConfig, fuzz_campaign
-from .harness import execute_schedule, export_execution_json
-from .model import bfs_reachable
+from .harness import EV_CRASH, EV_DELIVER, EV_RESTART, execute_schedule
+from .model import StateExplosion, bfs_reachable
 from .schedule import parse_schedule, serialize_schedule
 from .stats import CompareConfig, compare_strategies
 
@@ -36,7 +36,7 @@ def main(argv=None) -> int:
             raise ValueError(f"config keys {args.unknown_config} name no {args.command} flag")
         args.param = [f"{k}={v}" for k, v in params.items()] + args.param
         return args.func(args)
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError, EnumerationExplosion, StateExplosion) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 
@@ -258,6 +258,34 @@ def cmd_enumerate(args) -> int:
         "violations": sorted(res.violation_keys),
     }, indent=2))
     return 0
+
+
+def event_to_obj(ev) -> dict:
+    """One trace event as ``replay --json-out`` writes it."""
+    if ev.kind in (EV_CRASH, EV_RESTART):
+        return {"kind": ev.kind, "proc": ev.recv, "step": ev.step}
+    obj = {"kind": ev.kind}
+    if ev.kind == EV_DELIVER:
+        obj["from"] = ev.send
+    obj.update(to=ev.recv, verb=ev.verb)
+    if ev.fields:
+        obj["fields"] = dict(ev.fields)
+    obj["step"] = ev.step
+    return obj
+
+
+def export_execution_json(result) -> bytes:
+    """The ``replay --json-out`` document of one execution."""
+    obj = {
+        "events": [event_to_obj(e) for e in result.trace.events],
+        "skipped": list(result.trace.skipped),
+        "violations": [
+            {"kind": v.kind, "description": v.description, "step": v.step}
+            for v in result.violations
+        ],
+        "points": sorted(result.points_hit),
+    }
+    return json.dumps(obj, separators=(",", ":")).encode()
 
 
 def cmd_replay(args) -> int:

@@ -44,21 +44,6 @@ class EnumerationExplosion(RuntimeError):
         self.count = count
 
 
-def _touches(ev, p: int) -> bool:
-    return ev.recv == p or ev.send == p
-
-
-def default_dependent(e1, e2) -> bool:
-    """Same receiver, or a crash/restart entangled with anything at its process."""
-    if e1.recv == e2.recv:
-        return True
-    if e1.kind in (EV_CRASH, EV_RESTART) and _touches(e2, e1.recv):
-        return True
-    if e2.kind in (EV_CRASH, EV_RESTART) and _touches(e1, e2.recv):
-        return True
-    return False
-
-
 def _event_key(ev) -> bytes:
     """The canonical encoding of an event's identity, memoised per value."""
     value = (ev.kind, ev.recv, -1 if ev.send is None else ev.send, ev.verb, ev.fields)
@@ -68,21 +53,20 @@ def _event_key(ev) -> bytes:
         return remember(_encoded, value, encode_canonical(value))
 
 
-def canonical_linearization(events, dependent=None):
+def canonical_linearization(events):
     """Indices of ``events`` in the canonical (lexicographically least) order.
 
     Greedy over the dependence partial order: repeatedly emit the least-keyed
-    event whose dependence predecessors are all emitted.  Two co-available
-    events never share a key under the default relation (equal keys imply
-    equal receivers, hence dependence), so the result is order-canonical.
-
-    ``dependent=None`` builds default_dependent's sparse graph; a predicate
-    builds its dense O(n^2) graph, the tests' reference for the sparse one.
+    event whose dependence predecessors are all emitted.  Two events depend
+    on each other when they share a receiver, or when one is a crash or
+    restart of a process the other touches.  Two co-available events never
+    share a key (equal keys imply equal receivers, hence dependence), so the
+    result is order-canonical.
     """
-    return _linearize(events, [_event_key(e) for e in events], dependent)
+    return _linearize(events, [_event_key(e) for e in events])
 
 
-def _linearize(events, keys, dependent=None):
+def _linearize(events, keys):
     """canonical_linearization over precomputed event keys."""
     n = len(events)
     succs: list[list[int]] = [[] for _ in range(n)]
@@ -92,32 +76,26 @@ def _linearize(events, keys, dependent=None):
         succs[i].append(j)
         indeg[j] += 1
 
-    if dependent is None:
-        # Sparse construction: same-receiver chains carry ordinary dependence;
-        # crash/restart additionally pin every message their process sent.
-        last_recv: dict[int, int] = {}
-        last_fault: dict[int, int] = {}
-        pending_sends: dict[int, list] = {}
-        for j, ev in enumerate(events):
-            p = ev.recv
-            if p in last_recv:
-                edge(last_recv[p], j)
-            last_recv[p] = j
-            if ev.kind in (EV_CRASH, EV_RESTART):
-                for i in pending_sends.get(p, ()):
-                    edge(i, j)
-                pending_sends[p] = []
-                last_fault[p] = j
-            elif ev.send is not None and ev.send != ev.recv:
-                s = ev.send
-                if s in last_fault:
-                    edge(last_fault[s], j)
-                pending_sends.setdefault(s, []).append(j)
-    else:
-        for j in range(n):
-            for i in range(j):
-                if dependent(events[i], events[j]):
-                    edge(i, j)
+    # Same-receiver chains carry ordinary dependence; crash/restart
+    # additionally pin every message their process sent.
+    last_recv: dict[int, int] = {}
+    last_fault: dict[int, int] = {}
+    pending_sends: dict[int, list] = {}
+    for j, ev in enumerate(events):
+        p = ev.recv
+        if p in last_recv:
+            edge(last_recv[p], j)
+        last_recv[p] = j
+        if ev.kind in (EV_CRASH, EV_RESTART):
+            for i in pending_sends.get(p, ()):
+                edge(i, j)
+            pending_sends[p] = []
+            last_fault[p] = j
+        elif ev.send is not None and ev.send != ev.recv:
+            s = ev.send
+            if s in last_fault:
+                edge(last_fault[s], j)
+            pending_sends.setdefault(s, []).append(j)
 
     heap = [(keys[i], i) for i in range(n) if indeg[i] == 0]
     heapq.heapify(heap)
@@ -194,7 +172,7 @@ def enumerate_orderings(bench, max_depth: int,
     (they never quiesce).  An ordering is complete when no real buffer holds
     a message; branches still live at ``max_depth`` are not counted.
     """
-    sut, lts, kind = bench.sut, bench.lts, bench.name
+    sut, lts = bench.sut, bench.lts
     records = []
     all_violations = set()
 
@@ -202,7 +180,7 @@ def enumerate_orderings(bench, max_depth: int,
         if len(records) >= max_orderings:
             raise EnumerationExplosion(len(records))
         trace = ConcreteEventTrace(tuple(hs.events), ())
-        run = run_actions(lts, map_events(kind, trace))
+        run = run_actions(lts, map_events(bench, trace))
         deliveries = tuple(
             (e.send, e.recv, e.verb) for e in trace.events if e.kind == EV_DELIVER
         )

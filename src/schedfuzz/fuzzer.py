@@ -204,12 +204,6 @@ def divergence(s: Schedule, run: ExecutionResult, bits: ReadyBits):
     return diverge
 
 
-def unchanged_by(s: Schedule, run: ExecutionResult, bits: ReadyBits):
-    """A test of whether a mutation of ``s`` leaves its run ``run`` unchanged."""
-    diverge = divergence(s, run, bits)
-    return lambda m: diverge(m) == len(s.steps)
-
-
 def mutate(s: Schedule, kind: str, rng: random.Random, *,
            num_processes: int) -> Schedule:
     """One small schedule change; the result always satisfies the invariants.
@@ -384,7 +378,7 @@ def fuzz_campaign(config: CampaignConfig) -> CampaignResult:
             held.update(marks)
         unmatched = 0
         if need_model:
-            actions = map_events(bench.name, exec_result.trace)
+            actions = map_events(bench, exec_result.trace)
             model_run = run_actions(bench.lts, actions)
             unmatched = len(model_run.unmatched)
             result.unmatched_actions += unmatched

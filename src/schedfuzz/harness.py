@@ -11,7 +11,6 @@ bit for bit.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -410,19 +409,3 @@ def _do_restart(sut, hs, idx, proc, turn=None) -> None:
         hs.skipped.append(idx)
         return
     (turn or _turns(sut, hs))(idx, proc, None, None)
-
-
-def export_execution_json(result: ExecutionResult) -> bytes:
-    """Replay/debug export; events use the standard mapper encoding."""
-    from .mapper import event_to_obj
-
-    obj = {
-        "events": [event_to_obj(e) for e in result.trace.events],
-        "skipped": list(result.trace.skipped),
-        "violations": [
-            {"kind": v.kind, "description": v.description, "step": v.step}
-            for v in result.violations
-        ],
-        "points": sorted(result.points_hit),
-    }
-    return json.dumps(obj, separators=(",", ":")).encode()

@@ -41,7 +41,6 @@ class Lts:
     state it merges into the abstracted state before it counts as that one.
     """
 
-    name: str
     initial: object
     step: Callable[[object, ModelAction], object]
     enabled: Callable[[object], list]
@@ -109,18 +108,3 @@ def bfs_reachable(lts: Lts, depth_limit: int | None = None,
         frozenset(fingerprint(s) for s in seen),
         depth,
     )
-
-
-def merge_terms(a, b) -> bool:
-    """Whether raft state ``b`` merges into ``a``: the two differ only in the
-    current terms of processes that are not leaders (term-number churn)."""
-    if a is b:
-        return True
-    if (type(a) is not type(b) or a.roles != b.roles or a.logs != b.logs
-            or a.snaps != b.snaps or a.active != b.active):
-        return False
-    leader = 2  # role code for leaders, see benchmarks.raftlite.LEADER
-    for ta, tb, role in zip(a.terms, b.terms, a.roles):
-        if ta != tb and role == leader:
-            return False
-    return True

@@ -147,7 +147,7 @@ def test_criterion_3_algorithm_fidelity():
             for _ in range(10_000):
                 s = generate_random_schedule(bench.gen_defaults, rng)
                 result = execute_schedule(bench.sut, s)
-                run = run_actions(bench.lts, map_events(bench.name, result.trace))
+                run = run_actions(bench.lts, map_events(bench, result.trace))
                 assert run.unmatched == (), (bench.name, run.unmatched)
 
 
@@ -187,7 +187,7 @@ def _fifo_check():
 
 
 def _trace_soundness_check():
-    from schedfuzz.coverage import default_dependent
+    from test_coverage import default_dependent
 
     res = enumerate_orderings(build_micro(1, 1, True), max_depth=12, keep_events=True)
     words = [

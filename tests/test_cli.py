@@ -458,6 +458,22 @@ def test_enumerate_bounds_the_model_bfs_by_max_depth(capsys):
     assert json.loads(out)["reachableStates"] == 28
 
 
+@pytest.mark.parametrize("name, limit, words", [
+    ("enumerate_orderings", {"max_orderings": 5}, "after 5 orderings"),
+    ("bfs_reachable", {"max_states": 3}, "after 4 states"),
+])
+def test_enumerate_past_its_limit_is_one_error_line(capsys, monkeypatch, name, limit, words):
+    """micro(1, 1) has 10 orderings and 10 states: either limit stops it."""
+    real = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *a, **kw: real(*a, **kw, **limit))
+    code = main(["enumerate", "--bench", "micro", "--param", "micro.m=1",
+                 "--param", "micro.n=1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and words in err[0]
+
+
 BAD_SCHEDULE_STEPS = [
     ({"from": 1, "to": 0, "op": "deliver", "count": 2}, "from, to, op and n"),
     ({"from": 0.5, "to": 0, "op": "deliver"}, "JSON integers"),

@@ -1,4 +1,5 @@
 import dataclasses
+import heapq
 import random
 from collections import deque
 
@@ -11,7 +12,6 @@ from schedfuzz.coverage import (
     EnumerationExplosion,
     assess,
     canonical_linearization,
-    default_dependent,
     enumerate_orderings,
     model_state_items,
     trace_fingerprint,
@@ -46,6 +46,49 @@ def _deliver(recv, send, verb, step=0, **fields):
 
 def _trace(*events):
     return ConcreteEventTrace(tuple(events), ())
+
+
+def _touches(ev, p: int) -> bool:
+    return ev.recv == p or ev.send == p
+
+
+def default_dependent(e1, e2) -> bool:
+    """Trace coverage's dependence relation, as a predicate: same receiver, or
+    a crash/restart entangled with anything at its process."""
+    if e1.recv == e2.recv:
+        return True
+    if e1.kind in ("crash", "restart") and _touches(e2, e1.recv):
+        return True
+    if e2.kind in ("crash", "restart") and _touches(e1, e2.recv):
+        return True
+    return False
+
+
+def dense_linearization(events):
+    """canonical_linearization over default_dependent's dense O(n^2) graph,
+    with every event key encoded afresh: the reference for the sparse graph."""
+    n = len(events)
+    succs: list[list[int]] = [[] for _ in range(n)]
+    indeg = [0] * n
+    for j in range(n):
+        for i in range(j):
+            if default_dependent(events[i], events[j]):
+                succs[i].append(j)
+                indeg[j] += 1
+    keys = [encode_canonical((e.kind, e.recv, -1 if e.send is None else e.send,
+                              e.verb, e.fields)) for e in events]
+    heap = [(keys[i], i) for i in range(n) if indeg[i] == 0]
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        _, i = heapq.heappop(heap)
+        order.append(i)
+        for j in succs[i]:
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                heapq.heappush(heap, (keys[j], j))
+    assert len(order) == n, "dependence graph has a cycle"
+    return order
 
 
 def test_commuting_deliveries_share_a_fingerprint():
@@ -118,16 +161,9 @@ def test_canonical_linearization_is_a_permutation():
         assert sorted(order) == list(range(len(events)))
 
 
-def test_custom_relation_falls_back_to_generic_graph():
-    def total_dependence(a, b):
-        return True
-
+def test_commuting_deliveries_share_a_canonical_order():
     a = _deliver(1, 0, "Execute", idx=1)
     b = _deliver(2, 0, "Terminate", worker=1)
-    # with everything dependent, order is preserved verbatim
-    assert canonical_linearization([a, b], total_dependence) == [0, 1]
-    assert canonical_linearization([b, a], total_dependence) == [0, 1]
-    # the default relation lets the two commute into one canonical order
     ab, ba = canonical_linearization([a, b]), canonical_linearization([b, a])
     assert [[a, b][i] for i in ab] == [[b, a][i] for i in ba]
 
@@ -147,15 +183,13 @@ def test_sparse_graph_matches_dense_reference():
         traces.append(_fingerprinted(result.trace.events))
     assert sum(any(e.kind == "crash" for e in t) for t in traces) > 1000
     for events in traces:
-        assert canonical_linearization(events) == canonical_linearization(
-            events, default_dependent
-        )
+        assert canonical_linearization(events) == dense_linearization(events)
 
 
 def _reference_fingerprint(trace):
     """trace_fingerprint without the event-key memo: every key encoded afresh."""
     events = _fingerprinted(trace.events)
-    order = canonical_linearization(events, dependent=default_dependent)
+    order = dense_linearization(events)
     return digest128(b"".join(
         encode_canonical((e.kind, e.recv, -1 if e.send is None else e.send,
                           e.verb, e.fields))
@@ -226,7 +260,7 @@ def _micro_exec(order):
     bench = build_micro(1, 1, True)
     steps = tuple(ScheduleStep(buffers[x], DELIVER, 1) for x in order)
     result = execute_schedule(bench.sut, Schedule(steps=steps))
-    run = run_actions(bench.lts, map_events("micro", result.trace))
+    run = run_actions(bench.lts, map_events(bench, result.trace))
     return bench, result, run
 
 

@@ -161,7 +161,7 @@ def test_memo_keys_hold_no_bool_or_float(bench):
         trace = execute_schedule(bench.sut, generate_random_schedule(bench.gen_defaults, rng)).trace
         for ev in trace.events:
             _no_bool_or_float(ev.fields, ev)
-        actions = map_events(bench.name, trace)
+        actions = map_events(bench, trace)
         for a in actions:
             _no_bool_or_float(a.args, a)
         for acts in (actions, actions[::-1]):

@@ -17,11 +17,11 @@ from schedfuzz.fuzzer import (
     CampaignConfigError,
     assign_energy,
     build_mutant,
+    divergence,
     draw_mutation,
     fuzz_campaign,
     mutate,
     mutation_summary,
-    unchanged_by,
 )
 from schedfuzz.harness import (
     ConcreteEventTrace,
@@ -311,8 +311,7 @@ def _eager_iteration_schedules(config):
                          for _ in range(config.corpus_size))
         s = queue.popleft()
         out.append(s)
-        run = run_actions(bench.lts, map_events(bench.name,
-                                                execute_schedule(bench.sut, s).trace))
+        run = run_actions(bench.lts, map_events(bench, execute_schedule(bench.sut, s).trace))
         new = model_state_items(run, bench.lts) - total
         total |= new
         queue.extend(mutate(s, AUTO, rng, num_processes=bench.sut.process_count)
@@ -333,7 +332,7 @@ def test_a_repeated_schedule_still_counts_its_unmatched_actions():
 
     def unmatched(s):
         trace = execute_schedule(bench.sut, s).trace
-        return len(run_actions(lts, map_events(bench.name, trace)).unmatched)
+        return len(run_actions(lts, map_events(bench, trace)).unmatched)
 
     schedules = _eager_iteration_schedules(config)
     seen, repeated = set(), 0
@@ -367,7 +366,7 @@ def test_predicted_mutants_run_exactly_like_their_parent(name):
     outcomes = Counter()
     for s, m in _drawn_pairs(bench):
         run = execute_schedule(sut, s)
-        predicted = unchanged_by(s, run, sut.ready_bits)(m)
+        predicted = divergence(s, run, sut.ready_bits)(m) == len(s.steps)
         same = execute_schedule(sut, build_mutant(s, m)) == run
         # The reference is executing the mutant: a prediction is never wrong,
         # and the swaps of deliver steps miss no unchanged run.

@@ -98,7 +98,7 @@ def test_simulation_soundness_micro():
     for _ in range(400):
         s = generate_random_schedule(bench.gen_defaults, rng)
         result = execute_schedule(bench.sut, s)
-        run = run_actions(bench.lts, map_events("micro", result.trace))
+        run = run_actions(bench.lts, map_events(bench, result.trace))
         assert run.unmatched == ()
 
 

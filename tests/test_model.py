@@ -11,6 +11,7 @@ from schedfuzz.benchmarks.raftlite import (
     LEADER,
     RaftState,
     encode_entries,
+    merge_terms,
     parse_entries,
 )
 from schedfuzz.coverage import model_state_items
@@ -21,7 +22,6 @@ from schedfuzz.model import (
     MappingContractError,
     ModelAction,
     bfs_reachable,
-    merge_terms,
     run_actions,
 )
 from schedfuzz.schedule import generate_random_schedule
@@ -62,7 +62,7 @@ def test_visited_is_subset_of_bfs_reachable():
         for _ in range(150):
             s = generate_random_schedule(bench.gen_defaults, rng)
             result = execute_schedule(bench.sut, s)
-            run = run_actions(bench.lts, map_events(bench.name, result.trace))
+            run = run_actions(bench.lts, map_events(bench, result.trace))
             assert set(run.path) <= bfs_states
 
 
@@ -111,7 +111,7 @@ def test_term_abstraction_is_idempotent():
     for _ in range(60):
         s = generate_random_schedule(bench.gen_defaults, rng)
         result = execute_schedule(bench.sut, s)
-        run = run_actions(bench.lts, map_events("raftlite", result.trace))
+        run = run_actions(bench.lts, map_events(bench, result.trace))
         once = abstract_raft_states(run.path)
         assert abstract_raft_states(once) == once
 
@@ -159,7 +159,7 @@ def test_model_path_is_pinned(bench):
     rng = random.Random(4)
     for _ in range(200):
         s = generate_random_schedule(bench.gen_defaults, rng)
-        actions = map_events(bench.name, execute_schedule(bench.sut, s).trace)
+        actions = map_events(bench, execute_schedule(bench.sut, s).trace)
         for acts in (actions, actions[::-1]):
             run = run_actions(bench.lts, acts)
             h.update(b"".join(fp for _, fp in sorted(model_state_items(run, bench.lts))))
@@ -216,7 +216,7 @@ def test_state_items_match_the_reference_formula(bench):
     states = set()
     for _ in range(1000):
         s = generate_random_schedule(bench.gen_defaults, rng)
-        actions = map_events(bench.name, execute_schedule(bench.sut, s).trace)
+        actions = map_events(bench, execute_schedule(bench.sut, s).trace)
         for acts in (actions, actions[::-1]):
             run = run_actions(bench.lts, acts)
             items = model_state_items(run, bench.lts)
@@ -261,7 +261,7 @@ def _reference_raft_step(proc_count):
                 return None
             return q._replace(logs=_set(q.logs, p, q.logs[p] + ((q.terms[p], serial),)))
         if name in ("HandleRequestVoteRequest", "HandleRequestVoteResponse",
-                    "HandleAppendEntriesResponse", "HandleNilAppendEntriesResponse"):
+                    "HandleAppendEntriesResponse"):
             term = a.args[1]
             if term > q.terms[p]:
                 return q._replace(terms=_set(q.terms, p, term),
@@ -301,7 +301,7 @@ def _random_raft_action(rng, procs):
     name = rng.choice([
         "Crash", "Restart", "Timeout", "ElectLeader", "ClientRequest",
         "HandleRequestVoteRequest", "HandleRequestVoteResponse",
-        "HandleAppendEntriesResponse", "HandleNilAppendEntriesResponse",
+        "HandleAppendEntriesResponse",
         "HandleAppendEntriesRequest", "UpdateSnapshotIndex",
     ])
     if name in ("Crash", "Restart", "Timeout"):
@@ -354,7 +354,7 @@ def test_compacting_raft_runs_match_the_references():
         lts = bench.lts
         for _ in range(500):
             s = generate_random_schedule(bench.gen_defaults, rng)
-            actions = map_events(bench.name, execute_schedule(bench.sut, s).trace)
+            actions = map_events(bench, execute_schedule(bench.sut, s).trace)
             compacting += any(a.name == "UpdateSnapshotIndex" for a in actions)
             run = run_actions(lts, actions)
             assert model_state_items(run, lts) == _reference_state_items(run.path, lts)
@@ -514,7 +514,7 @@ def test_micro_and_tpc_steps_match_the_replace_references(bench, reference):
     outcomes = Counter()
     for _ in range(1000):
         s = generate_random_schedule(bench.gen_defaults, rng)
-        actions = map_events(bench.name, execute_schedule(bench.sut, s).trace)
+        actions = map_events(bench, execute_schedule(bench.sut, s).trace)
         for acts in (actions, actions[::-1]):
             q = lts.initial
             for a in acts:

@@ -67,7 +67,7 @@ def test_simulation_soundness_tpc():
     for _ in range(400):
         s = generate_random_schedule(bench.gen_defaults, rng)
         result = execute_schedule(bench.sut, s)
-        run = run_actions(bench.lts, map_events("tpc", result.trace))
+        run = run_actions(bench.lts, map_events(bench, result.trace))
         assert run.unmatched == ()
 
 
