@@ -19,13 +19,13 @@ from .harness import (
     EV_RESTART,
     ConcreteEventTrace,
     ExecutionResult,
-    HarnessState,
     clone_hs,
-    deliver,
     init_state,
+    stepper,
 )
 from .mapper import map_events
 from .model import run_actions
+from .schedule import DELIVER
 
 MODEL = "model"
 TRACE = "trace"
@@ -40,7 +40,8 @@ class CoverageContractError(ValueError):
 
 class EnumerationExplosion(RuntimeError):
     def __init__(self, count: int):
-        super().__init__(f"ordering enumeration aborted after {count} orderings")
+        super().__init__(f"ordering enumeration aborted after {count} orderings "
+                         "(branches cut at the depth limit included)")
         self.count = count
 
 
@@ -170,44 +171,38 @@ def enumerate_orderings(bench, max_depth: int,
 
     One message at a time, no crashes, perpetual control channels excluded
     (they never quiesce).  An ordering is complete when no real buffer holds
-    a message; branches still live at ``max_depth`` are not counted.
+    a message; branches still live at ``max_depth`` are not counted as
+    orderings, but they count against ``max_orderings`` as orderings do.
     """
     sut, lts = bench.sut, bench.lts
+    bits = sut.ready_bits
+    moves = sorted((buf, b) for buf, b in bits.bit.items() if not b & bits.control)
     records = []
+    cuts = 0
     all_violations = set()
 
-    def leaf(hs: HarnessState) -> None:
-        if len(records) >= max_orderings:
-            raise EnumerationExplosion(len(records))
+    def walk(hs, depth: int) -> None:
+        nonlocal cuts
+        options = [buf for buf, b in moves if hs.ready & b]
+        if options and depth < max_depth:
+            for buf in options:
+                child = clone_hs(sut, hs)
+                stepper(sut, child)(((buf, DELIVER, 1),), depth)
+                walk(child, depth + 1)
+            return
+        if len(records) + cuts >= max_orderings:
+            raise EnumerationExplosion(len(records) + cuts)
+        keys = tuple(v.key for v in hs.violations)
+        all_violations.update(keys)  # a cut branch surfaces its violations too
+        if options:
+            cuts += 1
+            return
         trace = ConcreteEventTrace(tuple(hs.events), ())
         run = run_actions(lts, map_events(bench, trace))
-        deliveries = tuple(
-            (e.send, e.recv, e.verb) for e in trace.events if e.kind == EV_DELIVER
-        )
-        keys = tuple(v.key for v in hs.violations)
-        all_violations.update(keys)
-        records.append(
-            OrderingRecord(
-                deliveries, trace_fingerprint(trace),
-                frozenset(fingerprint(s) for s in run.path), keys,
-                trace.events if keep_events else (),
-            )
-        )
-
-    def walk(hs: HarnessState, depth: int) -> None:
-        options = sorted(b for b, q in hs.buffers.items()
-                         if q and b.receiver in hs.alive)
-        if not options:
-            leaf(hs)
-            return
-        if depth >= max_depth:
-            # Branch cut; still surface violations seen along the way.
-            all_violations.update(v.key for v in hs.violations)
-            return
-        for buf in options:
-            child = clone_hs(sut, hs)
-            deliver(sut, child, depth, buf, 1)
-            walk(child, depth + 1)
+        records.append(OrderingRecord(
+            tuple((e.send, e.recv, e.verb) for e in trace.events if e.kind == EV_DELIVER),
+            trace_fingerprint(trace), frozenset(fingerprint(s) for s in run.path), keys,
+            trace.events if keep_events else ()))
 
     walk(init_state(sut), 0)
     return EnumerationResult(

@@ -28,7 +28,6 @@ from .model import run_actions
 from .schedule import (
     CRASH,
     DELIVER,
-    GenParams,
     Schedule,
     ScheduleError,
     generate_random_schedule,
@@ -163,9 +162,9 @@ def divergence(s: Schedule, run: ExecutionResult, bits: ReadyBits):
     """The first step at which a mutation of ``s`` can make a run differ from
     ``run``, or ``len(s.steps)`` when it provably leaves the run unchanged.
 
-    Proof, by ``deliver``'s loop.  The runs agree up to the first step the
-    mutation touches; deliver events carry their step's index, so a step that
-    delivers differently changes the trace for good.  SwapBuffers(i < j) of
+    Proof, by ``harness.stepper``'s loop.  The runs agree up to the first
+    step the mutation touches; deliver events carry their step's index, so a
+    step that delivers differently changes the trace for good.  SwapBuffers(i < j) of
     distinct buffers: a step where neither is deliverable skips in both runs,
     so the runs agree up to step j if that holds at i, and for good if it
     holds at j too; otherwise that step delivers from different buffers.
@@ -175,8 +174,9 @@ def divergence(s: Schedule, run: ExecutionResult, bits: ReadyBits):
     left its buffer deliverable delivers more or fewer under any other count.
     Any other step delivered d and then found its buffer undeliverable, as
     again under any count >= d, while fewer changes it.  Once step i is kept,
-    step j starts from the parent's state.  SwapCrashProcesses, or a buffer
-    without a bit in ``bits``, can change the run from step min(i, j).
+    step j starts from the parent's state.  A buffer without a bit in ``bits``
+    is never deliverable.  SwapCrashProcesses can change the run from step
+    min(i, j).
     """
     ready, bit, steps = run.ready, bits.bit, s.steps
     delivered = Counter(e.step for e in run.trace.events if e.kind == EV_DELIVER)
@@ -191,8 +191,8 @@ def divergence(s: Schedule, run: ExecutionResult, bits: ReadyBits):
 
     def diverge(m: Mutation) -> int:
         i, j = sorted((m.i, m.j))
-        bi, bj = bit.get(steps[i].buffer), bit.get(steps[j].buffer)
-        if m.kind == SWAP_CRASH_PROCESSES or bi is None or bj is None:
+        bi, bj = bit.get(steps[i].buffer, 0), bit.get(steps[j].buffer, 0)
+        if m.kind == SWAP_CRASH_PROCESSES:
             return i
         if m.kind == SWAP_BUFFERS:
             both = 0 if bi == bj else bi | bj
@@ -243,7 +243,6 @@ class CampaignConfig:
     master_seed: int
     corpus_size: int = 20
     energy_per_item: int = 5
-    gen: GenParams | None = None      # defaults to the benchmark's
     track_states: bool = True         # model-state metric for every notion
     budget_seconds: float | None = None
     stop_on_bug: str | None = None    # stop early when this key substring hits
@@ -251,9 +250,9 @@ class CampaignConfig:
     def __post_init__(self):
         if self.notion not in NOTIONS:
             raise CampaignConfigError(f"unknown notion {self.notion!r}")
-        gen = self.gen or self.benchmark.gen_defaults
-        if gen.crash_quota > 0 and not self.benchmark.sut.crashes_allowed:
-            raise CampaignConfigError(NO_CRASHES.format(self.benchmark.name))
+        bench = self.benchmark
+        if bench.gen_defaults.crash_quota > 0 and not bench.sut.crashes_allowed:
+            raise CampaignConfigError(NO_CRASHES.format(bench.name))
         if self.budget < 1 or self.corpus_size < 1:
             raise CampaignConfigError("budget and corpus size must be >= 1")
         if self.energy_per_item < 0:
@@ -295,7 +294,7 @@ class CampaignResult:
 
 def fuzz_campaign(config: CampaignConfig) -> CampaignResult:
     bench = config.benchmark
-    gen = config.gen or bench.gen_defaults
+    gen = bench.gen_defaults
     rng = random.Random(config.master_seed)
     need_model = config.notion == MODEL or config.track_states
     result = CampaignResult(notion=config.notion)

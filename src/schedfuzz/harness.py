@@ -95,10 +95,10 @@ class ExecutionResult:
 class ReadyBits(NamedTuple):
     """Where each of a benchmark's buffers sits in ``HarnessState.ready``."""
 
-    bit: dict        # BufferId -> its bit, for the benchmark's buffer universe
+    bit: dict        # BufferId -> its bit; a buffer without one is never deliverable
     receives: tuple  # process -> mask of the buffers it receives on
     control: int     # mask of the control buffers
-    outbound: tuple  # sender -> {receiver: (BufferId, its bit or 0)}
+    outbound: tuple  # sender -> {receiver: (BufferId, its bit)}
 
 
 class SystemUnderTest:
@@ -142,18 +142,18 @@ class SystemUnderTest:
 
     @cached_property
     def ready_bits(self) -> ReadyBits:
-        """One bit per buffer of the benchmark: process pairs, then extra buffers;
-        and per sender, the buffer and bit each of its sends lands in."""
-        universe = dict.fromkeys(buffer_universe(self.process_count, self.extra_buffers))
-        bit = {buf: 1 << n for n, buf in enumerate(universe)}
+        """One bit per buffer a message can be in: process pairs, then extra
+        buffers, then the self pairs not among them; and per sender, the buffer
+        and bit each of its sends lands in."""
+        procs = range(self.process_count)
+        bit = {buf: 1 << n for n, buf in enumerate(dict.fromkeys([
+            *buffer_universe(self.process_count, self.extra_buffers),
+            *(BufferId(p, p) for p in procs)]))}
         receives = [0] * self.process_count
         for buf, b in bit.items():
             receives[buf.receiver] |= b
         control = sum(bit.get(buf, 0) for buf in self.control_buffers)
-        procs = range(self.process_count)
-        outbound = tuple(
-            {r: (BufferId(s, r), bit.get(BufferId(s, r), 0)) for r in procs} for s in procs
-        )
+        outbound = tuple({r: (BufferId(s, r), bit[BufferId(s, r)]) for r in procs} for s in procs)
         return ReadyBits(bit, tuple(receives), control, outbound)
 
     def oracle_init(self):
@@ -223,8 +223,11 @@ def init_state(sut: SystemUnderTest) -> HarnessState:
     bits = sut.ready_bits
     hs.ready = bits.control
     for buf, msg in inflight:
+        if buf not in bits.bit:
+            raise HarnessError(f"initial {msg.verb} message in buffer {buf.sender}->"
+                               f"{buf.receiver}, which is no buffer of {sut.name!r}")
         hs.buffers.setdefault(buf, deque()).append(msg)
-        hs.ready |= bits.bit.get(buf, 0)
+        hs.ready |= bits.bit[buf]
     hs.oracle = sut.oracle_init()
     return hs
 
@@ -250,27 +253,13 @@ def execute_schedule(sut: SystemUnderTest, schedule: Schedule, start=None,
         ready = [hs.ready]
     else:
         hs, ready = start[0], list(start[1])
-    turn = _turns(sut, hs)
-    bit = sut.ready_bits.bit
-    record = ready.append
+    run = stepper(sut, hs, ready.append)
     steps = schedule.steps
-    for stop in (sorted(marks) + [len(steps)] if marks else (len(steps),)):
-        for idx, (buf, op, count) in enumerate(steps[len(ready) - 1:stop], len(ready) - 1):
-            if op == DELIVER:
-                b = bit.get(buf)
-                if b is None or hs.ready & b:
-                    deliver(sut, hs, idx, buf, count, turn)
-                else:
-                    hs.skipped.append(idx)  # deliver would skip it too
-            elif op == CRASH:
-                _do_crash(sut, hs, idx, buf.receiver)
-            elif op == RESTART:
-                _do_restart(sut, hs, idx, buf.receiver, turn)
-            else:
-                raise HarnessError(f"unknown op {op!r}")
-            record(hs.ready)
-        if marks and stop in marks:
+    if marks:
+        for stop in sorted(marks):
+            run(steps[len(ready) - 1:stop], len(ready) - 1)
             marks[stop] = (clone_hs(sut, hs), tuple(ready))
+    run(steps[len(ready) - 1:], len(ready) - 1)
 
     final = tuple(
         sut.snapshot(p, hs.states[p]) if p in hs.alive else None
@@ -285,28 +274,39 @@ def execute_schedule(sut: SystemUnderTest, schedule: Schedule, start=None,
     )
 
 
-def _turns(sut: SystemUnderTest, hs: HarnessState):
-    """The run's one turn: ``turn(idx, proc, sender, msg)`` runs ``proc``'s handler
-    on ``msg`` (restarts ``proc`` if ``msg`` is None), then records the turn's
-    events and sends and shows each event to the oracle.  The system's methods
-    are looked up once per run, so a class patched between runs takes effect.
-    Every turn shares one context, whose points land straight in ``hs.points``."""
-    handle, recover, observe, bits = sut.handle, sut.recover, sut.oracle_observe, sut.ready_bits
-    states, alive, buffers, events, violations, oracle = (
-        hs.states, hs.alive, hs.buffers, hs.events, hs.violations, hs.oracle)
+def stepper(sut: SystemUnderTest, hs: HarnessState, record=None):
+    """The run's step loop: ``run(steps, idx)`` executes ``steps``, numbered
+    from ``idx``, on ``hs`` and passes ``hs.ready`` to ``record`` after each.
+
+    A deliver acts only if its buffer's bit is set in ``hs.ready``, a crash only
+    on a live process and a restart only on a dead one; any other step is
+    skipped.  A deliver runs one turn per message, up to its count and while
+    the bit stays set; a control buffer never empties, so it gives one message.
+    The system's methods are looked up once per run, so a class patched
+    between runs takes effect.  Every turn shares one context, whose points
+    land straight in ``hs.points``.
+    """
+    handle, recover, observe, control_message = (
+        sut.handle, sut.recover, sut.oracle_observe, sut.control_message)
+    bit, receives, control, outbound = sut.ready_bits
+    states, alive, buffers, persisted, events, skipped, violations, oracle = (
+        hs.states, hs.alive, hs.buffers, hs.persisted, hs.events, hs.skipped,
+        hs.violations, hs.oracle)
     ctx = HandlerContext(hs.points)
     outbox, internals = ctx.outbox, ctx.internals
 
     def turn(idx, proc, sender, msg):
+        """Run ``proc``'s handler on ``msg`` (restart ``proc`` if ``msg`` is None),
+        then record the turn's events and sends and show each event to the oracle."""
         if msg is None:
             event = ConcreteEvent(EV_RESTART, proc, None, "", (), idx)
-            states[proc] = recover(proc, hs.persisted.pop(proc), ctx)
+            states[proc] = recover(proc, persisted.pop(proc), ctx)
             alive.add(proc)
             # Messages sent to proc while it was down wait in its buffers again.
-            hs.ready |= bits.control & bits.receives[proc]
+            hs.ready |= control & receives[proc]
             for buf, q in buffers.items():
                 if q and buf.receiver == proc:
-                    hs.ready |= bits.bit.get(buf, 0)
+                    hs.ready |= bit[buf]
         else:
             event = ConcreteEvent(EV_DELIVER, proc, sender, msg.verb, msg.fields, idx)
             try:
@@ -322,7 +322,7 @@ def _turns(sut: SystemUnderTest, hs: HarnessState):
                 outbox.clear()
                 internals.clear()
         if outbox:
-            sends = bits.outbound[proc]
+            sends = outbound[proc]
             for dest, out in outbox:
                 try:
                     buf, b = sends[dest]
@@ -347,39 +347,44 @@ def _turns(sut: SystemUnderTest, hs: HarnessState):
                 violations.append(Violation(SAFETY, desc, idx))
         internals.clear()
 
-    return turn
+    def run(steps, idx):
+        for idx, (buf, op, count) in enumerate(steps, idx):
+            proc = buf.receiver
+            if op == DELIVER:
+                b = bit.get(buf, 0)
+                if not hs.ready & b:
+                    skipped.append(idx)
+                elif b & control:
+                    turn(idx, proc, buf.sender, control_message(buf))
+                else:
+                    q = buffers[buf]
+                    for _ in range(count):
+                        msg = q.popleft()
+                        if not q:
+                            hs.ready &= ~b
+                        turn(idx, proc, buf.sender, msg)
+                        if not hs.ready & b:
+                            break
+            elif op == CRASH:
+                if proc in alive:
+                    _kill(sut, hs, proc)
+                    event = ConcreteEvent(EV_CRASH, proc, None, "", (), idx)
+                    events.append(event)
+                    for desc in observe(oracle, event, states, alive):
+                        violations.append(Violation(SAFETY, desc, idx))
+                else:
+                    skipped.append(idx)
+            elif op == RESTART:
+                if proc in alive:
+                    skipped.append(idx)
+                else:
+                    turn(idx, proc, None, None)
+            else:
+                raise HarnessError(f"unknown op {op!r}")
+            if record is not None:
+                record(hs.ready)
 
-
-def deliver(sut: SystemUnderTest, hs: HarnessState, idx: int, buf: BufferId,
-            count: int, turn=None) -> None:
-    """Step ``idx`` delivers up to ``count`` messages from ``buf``, one turn each.
-
-    The enumeration oracle drives executions message by message through this
-    entry point, and execute_schedule passes in its run's ``turn``, so their
-    semantics can never drift apart.
-    """
-    receiver = buf.receiver
-    if receiver not in hs.alive:
-        hs.skipped.append(idx)
-        return
-    if turn is None:
-        turn = _turns(sut, hs)
-    if buf in sut.control_buffers:
-        # A control channel always holds exactly one pending message (it
-        # regenerates after delivery), so a deliver step pops min(k, 1) = 1.
-        turn(idx, receiver, buf.sender, sut.control_message(buf))
-        return
-    q = hs.buffers.get(buf)
-    if not q:
-        hs.skipped.append(idx)
-        return
-    for _ in range(count):
-        if not q or receiver not in hs.alive:
-            break
-        msg = q.popleft()
-        if not q:
-            hs.ready &= ~sut.ready_bits.bit.get(buf, 0)
-        turn(idx, receiver, buf.sender, msg)
+    return run
 
 
 def _kill(sut, hs, proc) -> None:
@@ -391,21 +396,3 @@ def _kill(sut, hs, proc) -> None:
     for buf in list(hs.buffers):
         if buf.receiver == proc:
             del hs.buffers[buf]
-
-
-def _do_crash(sut, hs, idx, proc) -> None:
-    if proc not in hs.alive:
-        hs.skipped.append(idx)
-        return
-    _kill(sut, hs, proc)
-    event = ConcreteEvent(EV_CRASH, proc, None, "", (), idx)
-    hs.events.append(event)
-    for desc in sut.oracle_observe(hs.oracle, event, hs.states, hs.alive):
-        hs.violations.append(Violation(SAFETY, desc, idx))
-
-
-def _do_restart(sut, hs, idx, proc, turn=None) -> None:
-    if proc in hs.alive:
-        hs.skipped.append(idx)
-        return
-    (turn or _turns(sut, hs))(idx, proc, None, None)

@@ -76,7 +76,6 @@ def run_actions(lts: Lts, actions) -> RunResult:
 class BfsResult(NamedTuple):
     states: frozenset
     fingerprints: frozenset
-    depth_reached: int
 
 
 def bfs_reachable(lts: Lts, depth_limit: int | None = None,
@@ -103,8 +102,4 @@ def bfs_reachable(lts: Lts, depth_limit: int | None = None,
                         raise StateExplosion(len(seen))
                     nxt.append(q2)
         frontier = nxt
-    return BfsResult(
-        frozenset(seen),
-        frozenset(fingerprint(s) for s in seen),
-        depth,
-    )
+    return BfsResult(frozenset(seen), frozenset(fingerprint(s) for s in seen))

@@ -5,33 +5,33 @@ from collections import deque
 
 import pytest
 
+import test_turns
+
 from schedfuzz import fingerprint as fp_memo
 from schedfuzz.benchmarks import build_micro, build_raftlite, build_tpc
 from schedfuzz.coverage import (
     CoverageContractError,
     EnumerationExplosion,
+    OrderingRecord,
     assess,
     canonical_linearization,
     enumerate_orderings,
     model_state_items,
     trace_fingerprint,
 )
-from schedfuzz.fingerprint import digest128, encode_canonical
+from schedfuzz.fingerprint import digest128, encode_canonical, fingerprint
 from schedfuzz.harness import (
     ConcreteEvent,
     ConcreteEventTrace,
     HarnessState,
-    _do_crash,
-    _do_restart,
     clone_hs,
-    deliver,
     execute_schedule,
     init_state,
+    stepper,
 )
 from schedfuzz.mapper import map_events
 from schedfuzz.model import bfs_reachable, run_actions
 from schedfuzz.schedule import (
-    CRASH,
     BufferId,
     DELIVER,
     Schedule,
@@ -325,6 +325,55 @@ def test_enumeration_guard_aborts_with_count():
         enumerate_orderings(build_micro(2, 2, True), max_depth=10, max_orderings=5)
 
 
+def test_cut_branches_count_against_the_enumeration_limit():
+    # tpc with its defaults completes no ordering within depth 12, so only
+    # the cut branches can reach the limit.
+    with pytest.raises(EnumerationExplosion) as e:
+        enumerate_orderings(build_tpc(), max_depth=12, max_orderings=500)
+    assert e.value.count == 500
+    assert "after 500 orderings" in str(e.value)
+
+
+def reference_orderings(bench, max_depth: int) -> tuple:
+    """enumerate_orderings' records as first written: the moves are the
+    buffers that hold a message for a live receiver, rescanned from
+    ``hs.buffers``, and test_turns' reference ``_deliver`` makes each move."""
+    sut, records = bench.sut, []
+
+    def walk(hs, depth):
+        options = sorted(b for b, q in hs.buffers.items() if q and b.receiver in hs.alive)
+        if not options:
+            trace = ConcreteEventTrace(tuple(hs.events), ())
+            run = run_actions(bench.lts, map_events(bench, trace))
+            records.append(OrderingRecord(
+                tuple((e.send, e.recv, e.verb) for e in trace.events if e.kind == "deliver"),
+                trace_fingerprint(trace), frozenset(fingerprint(s) for s in run.path),
+                tuple(v.key for v in hs.violations), trace.events))
+        elif depth < max_depth:
+            for buf in options:
+                child = clone_hs(sut, hs)
+                test_turns._deliver(sut, child, depth, buf, 1)
+                walk(child, depth + 1)
+
+    walk(init_state(sut), 0)
+    return tuple(records)
+
+
+@pytest.mark.parametrize("make, depth", [
+    (lambda: build_micro(1, 1, True), 12),
+    (lambda: build_micro(2, 2, True), 10),
+    (lambda: build_tpc(3, 1, 1), 10),
+    (lambda: build_tpc(1, 1, 3), 12),
+    # Only control buffers are ever deliverable: the one empty ordering.
+    (lambda: build_raftlite(3), 4),
+], ids=["micro(1,1)", "micro(2,2)", "tpc(3,1,1)", "tpc(1,1,3)", "raftlite(3)"])
+def test_enumeration_matches_the_buffer_rescan_reference(make, depth):
+    bench = make()
+    res = enumerate_orderings(bench, max_depth=depth, keep_events=True)
+    assert res.records == reference_orderings(bench, depth)
+    assert res.orderings == len(res.records) > 0
+
+
 def test_depth_limit_counts_only_completed_orderings():
     bench = build_micro(1, 1, True)
     res = enumerate_orderings(bench, max_depth=1)
@@ -370,12 +419,9 @@ def test_clone_copies_every_harness_field():
     seen = set()
     for sut, s, every in runs:
         hs = init_state(sut)
+        run = stepper(sut, hs)
         for idx, step in enumerate(s.steps):
-            if step.op == DELIVER:
-                deliver(sut, hs, idx, step.buffer, step.count)
-            else:
-                (_do_crash if step.op == CRASH else _do_restart)(
-                    sut, hs, idx, step.buffer.receiver)
+            run((step,), idx)
             if idx % every:
                 continue
             clone = clone_hs(sut, hs)

@@ -5,6 +5,8 @@ from collections import Counter, deque
 
 import pytest
 
+import test_turns
+
 from schedfuzz import coverage, fuzzer
 from schedfuzz.benchmarks import build_micro, build_raftlite, build_tpc
 from schedfuzz.coverage import model_state_items
@@ -23,14 +25,7 @@ from schedfuzz.fuzzer import (
     mutate,
     mutation_summary,
 )
-from schedfuzz.harness import (
-    ConcreteEventTrace,
-    _do_crash,
-    _do_restart,
-    deliver,
-    execute_schedule,
-    init_state,
-)
+from schedfuzz.harness import ConcreteEventTrace, execute_schedule, init_state
 from schedfuzz.mapper import map_events
 from schedfuzz.model import run_actions
 from schedfuzz.schedule import (
@@ -156,8 +151,8 @@ def test_crash_quota_rejected_when_sut_cannot_crash():
     gen = GenParams(3, 10, 2, 1, extra_buffers=tuple(bench.sut.extra_buffers))
     with pytest.raises(CampaignConfigError):
         fuzz_campaign(
-            CampaignConfig(benchmark=bench, notion="model", budget=10,
-                           master_seed=0, gen=gen)
+            CampaignConfig(benchmark=dataclasses.replace(bench, gen_defaults=gen),
+                           notion="model", budget=10, master_seed=0)
         )
 
 
@@ -380,30 +375,43 @@ def test_predicted_mutants_run_exactly_like_their_parent(name):
         assert outcomes[SWAP_MAX_MESSAGES, False] > 0
 
 
-@pytest.mark.parametrize("name", list(MUTATE_BENCHES))
+@pytest.mark.parametrize("name", [*MUTATE_BENCHES, "chaos"])
 def test_recorded_ready_masks_match_a_recount(name):
-    bench = MUTATE_BENCHES[name]()
-    sut = bench.sut
+    if name == "chaos":
+        sut = test_turns.Chaos()
+        # Its schedules also deliver from the self pairs it sends to.
+        params = GenParams(4, 60, 3, 10, tuple(BufferId(p, p) for p in range(4)))
+        rng = random.Random(29)
+        schedules = [generate_random_schedule(params, rng) for _ in range(1000)]
+    else:
+        bench = MUTATE_BENCHES[name]()
+        sut, schedules = bench.sut, [s for s, _ in _drawn_pairs(bench)]
     bit = sut.ready_bits.bit
 
     def recount(hs):
         return sum(b for buf, b in bit.items() if buf.receiver in hs.alive
                    and (buf in sut.control_buffers or hs.buffers.get(buf)))
 
-    ops = {CRASH: _do_crash, RESTART: _do_restart}
-    for s, _ in _drawn_pairs(bench):
-        # Reference loop: deliver makes its own skip checks, never reading the mask.
+    ops = {CRASH: test_turns._do_crash, RESTART: test_turns._do_restart}
+    kinds = Counter()
+    for s in schedules:
+        # Reference steps: each makes its own skip checks, never reading the mask.
         hs = init_state(sut)
         masks = [recount(hs)]
         for idx, step in enumerate(s.steps):
             if step.op == DELIVER:
-                deliver(sut, hs, idx, step.buffer, step.count)
+                test_turns._deliver(sut, hs, idx, step.buffer, step.count)
             else:
                 ops[step.op](sut, hs, idx, step.buffer.receiver)
             masks.append(recount(hs))
         run = execute_schedule(sut, s)
         assert run.ready == tuple(masks)
         assert run.trace == ConcreteEventTrace(tuple(hs.events), tuple(hs.skipped))
+        kinds.update(e.recv for e in run.trace.events
+                     if e.kind == "deliver" and e.send == e.recv)
+    if name == "chaos":
+        # Every process received from its own buffer: the self pairs have bits.
+        assert min(kinds[p] for p in range(sut.process_count)) > 100, kinds
 
 
 def test_mutations_are_drawn_only_for_iterations_left(monkeypatch):

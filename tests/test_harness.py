@@ -236,6 +236,34 @@ def test_a_send_out_of_range_is_a_harness_error(dest, broadcast):
     assert str(e.value) == f"process 1 sent Stray to process {dest}, outside 0..1"
 
 
+class Placed(PingPong):
+    """PingPong that starts with its one ball in ``buf``."""
+
+    def __init__(self, buf):
+        super().__init__(balls=1)
+        self.buf = buf
+
+    def init(self):
+        return [{"seen": []}, {"seen": []}], [(self.buf, make_message("Ball", n=0))]
+
+
+@pytest.mark.parametrize("buf", [BufferId(0, 2), BufferId(2, 1), BufferId(-1, 1),
+                                 BufferId(1, -1)], ids=str)
+def test_an_initial_message_outside_the_buffers_is_a_harness_error(buf):
+    for run in (init_state, lambda sut: execute_schedule(sut, Schedule(steps=()))):
+        with pytest.raises(HarnessError) as e:
+            run(Placed(buf))
+        assert str(e.value) == (f"initial Ball message in buffer {buf.sender}->"
+                                f"{buf.receiver}, which is no buffer of 'pingpong'")
+
+
+def test_an_initial_message_to_itself_is_delivered():
+    s = Schedule(steps=(deliver(BufferId(1, 1)), deliver(BufferId(1, 0))))
+    result = execute_schedule(Placed(BufferId(1, 1)), s)
+    assert [(e.send, e.recv) for e in result.trace.events] == [(1, 1), (1, 0)]
+    assert result.trace.skipped == ()
+
+
 def test_a_broadcast_in_range_lands_in_each_buffer():
     s = Schedule(steps=(deliver(BufferId(0, 1), 2), deliver(BufferId(1, 0), 4)))
     result = execute_schedule(Stray(0, broadcast=True), s)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -8,7 +9,7 @@ from schedfuzz.benchmarks.tpc import ABORTED, COMMITTED, TpcBench
 from schedfuzz.cli import main
 from schedfuzz.coverage import enumerate_orderings
 from schedfuzz.fuzzer import CampaignConfig, CampaignConfigError, fuzz_campaign
-from schedfuzz.harness import clone_hs, deliver, execute_schedule, init_state
+from schedfuzz.harness import clone_hs, execute_schedule, init_state, stepper
 from schedfuzz.mapper import map_events
 from schedfuzz.model import run_actions
 from schedfuzz.schedule import GenParams, generate_random_schedule
@@ -29,7 +30,8 @@ def test_crash_schedules_rejected_for_tpc():
     with pytest.raises(CampaignConfigError):
         fuzz_campaign(
             CampaignConfig(
-                benchmark=bench, notion="random", budget=5, master_seed=0, gen=gen
+                benchmark=dataclasses.replace(bench, gen_defaults=gen), notion="random",
+                budget=5, master_seed=0
             )
         )
 
@@ -194,13 +196,11 @@ def test_a_cloned_oracle_is_independent_of_its_original():
         steps = generate_random_schedule(params, rng).steps
         cut = len(steps) // 2
         hs = init_state(sut)
-        for idx, (buf, _, count) in enumerate(steps[:cut]):
-            deliver(sut, hs, idx, buf, count)
+        stepper(sut, hs)(steps[:cut], 0)
         branches = [hs, clone_hs(sut, hs)]
         tails = (steps[cut:], generate_random_schedule(params, rng).steps)
         for branch, tail in zip(branches, tails):
-            for idx, (buf, _, count) in enumerate(tail, cut):
-                deliver(sut, branch, idx, buf, count)
+            stepper(sut, branch)(tail, cut)
             fired += bool(branch.violations)
     assert fired > 100
 

@@ -63,12 +63,11 @@ class Doomed(SystemUnderTest):
 
 
 def run_one_context(sut, schedule):
-    """execute_schedule's loop with its one turn function, keeping the HarnessState."""
+    """execute_schedule's step loop with its one turn function, keeping the
+    HarnessState."""
+    assert all(op == DELIVER for _, op, _ in schedule.steps)
     hs = init_state(sut)
-    turn = harness._turns(sut, hs)
-    for idx, (buf, op, count) in enumerate(schedule.steps):
-        assert op == DELIVER
-        harness.deliver(sut, hs, idx, buf, count, turn)
+    harness.stepper(sut, hs)(schedule.steps, 0)
     return hs
 
 

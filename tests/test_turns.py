@@ -1,15 +1,18 @@
-"""Handler turns against their reference path.
+"""Handler turns and schedule steps against their reference path.
 
-``harness._turns`` builds one turn function per run.  It takes each send's
-buffer and bit from the per-sender table ``ReadyBits.outbound`` and shows each
-event to the oracle as it records it.  All turns of a run share one
-``HandlerContext``, whose ``broadcast`` shares one message among its
-receivers, and ``execute_schedule`` unpacks each step.  The references below
-(``_run_handler``, ``_end_turn``, ``_observe``) are the harness turn as first
-written: a new context per turn whose ``broadcast`` is a loop of ``send``, a
-``BufferId`` and a ``ready_bits.bit`` lookup per send, and an ``_observe``
-call per event.  Every run must give the same ``ExecutionResult`` and leave
-the same ``HarnessState``.
+``harness.stepper`` builds one step loop per run, with one turn function
+inside.  The turn takes each send's buffer and bit from the per-sender table
+``ReadyBits.outbound`` and shows each event to the oracle as it records it.
+All turns of a run share one ``HandlerContext``, whose ``broadcast`` shares
+one message among its receivers.  The loop decides from ``hs.ready`` alone
+whether a deliver step acts.  The references below are the harness as first
+written: ``_deliver``, ``_do_crash`` and ``_do_restart`` make their own
+alive, control-buffer and empty-buffer checks; ``_run_handler`` and
+``_end_turn`` build a new context per turn, whose ``broadcast`` is a loop of
+``send``, with a ``BufferId`` and a ``ready_bits.bit`` lookup per send; and
+``_observe`` is called once per event.  Every run must give the same
+``ExecutionResult`` and leave the same ``HarnessState``, whether the package
+runs the whole schedule in one call or one step per call (``drive``).
 """
 
 import random
@@ -205,14 +208,12 @@ def _do_restart(sut, hs, idx, proc) -> None:
 
 
 def drive(sut, schedule):
-    """The HarnessState the package's own step functions leave after ``schedule``."""
+    """The HarnessState the package's step loop leaves after ``schedule``, run
+    one step per call."""
     hs = init_state(sut)
-    ops = {CRASH: harness._do_crash, RESTART: harness._do_restart}
-    for idx, (buf, op, count) in enumerate(schedule.steps):
-        if op == DELIVER:
-            harness.deliver(sut, hs, idx, buf, count)
-        else:
-            ops[op](sut, hs, idx, buf.receiver)
+    run = harness.stepper(sut, hs)
+    for idx, step in enumerate(schedule.steps):
+        run((step,), idx)
     return hs
 
 
