@@ -45,13 +45,7 @@ class Benchmark:
 
 
 def _gen(sut: SystemUnderTest, max_steps: int, max_messages: int, quota: int) -> GenParams:
-    return GenParams(
-        num_processes=sut.process_count,
-        max_steps=max_steps,
-        max_messages_per_step=max_messages,
-        crash_quota=quota,
-        extra_buffers=tuple(sut.extra_buffers),
-    )
+    return GenParams(sut.process_count, max_steps, max_messages, quota, tuple(sut.extra_buffers))
 
 
 def build_micro(m: int = 2, n: int = 5, bug_enabled: bool = True,
@@ -71,12 +65,8 @@ def build_tpc(rm_count: int = 3, var_count: int = 2, request_count: int = 5,
 def build_raftlite(proc_count: int = 3, request_count: int = 2,
                    quorum_bug: bool = False, snapshot_threshold: int = 8,
                    max_steps: int = 100, crash_quota: int = 10) -> Benchmark:
-    sut = raftlite.RaftLiteBench(
-        proc_count=proc_count,
-        request_count=request_count,
-        quorum_bug=quorum_bug,
-        snapshot_threshold=snapshot_threshold,
-    )
+    sut = raftlite.RaftLiteBench(proc_count=proc_count, request_count=request_count,
+                                 quorum_bug=quorum_bug, snapshot_threshold=snapshot_threshold)
     return Benchmark("raftlite", sut, raftlite.raftlite_model(proc_count), raftlite.EVENTS,
                      _gen(sut, max_steps, 5, crash_quota))
 
@@ -87,9 +77,7 @@ _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
 
 def _strict_bool(v) -> bool:
     """A Python bool, or one of the spellings in _BOOLS in any case."""
-    if isinstance(v, bool):
-        return v
-    return _BOOLS[str(v).lower()]
+    return v if isinstance(v, bool) else _BOOLS[str(v).lower()]
 
 
 # The one list of benchmarks: name -> (builder, {dotted key: (builder

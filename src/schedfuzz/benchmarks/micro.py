@@ -40,18 +40,17 @@ class MicroBench(SystemUnderTest):
         self.workers = tuple(range(1, m + 1))
         self.terminator = m + 1
         self.extra_buffers = (BufferId(0, 0),)  # client request channel
+        self._inflight = (
+            *((BufferId(p, 0), make_message("Register", proc=p))
+              for p in (*self.workers, self.terminator)),
+            (BufferId(0, 0), make_message("Request", req=0)))
 
     def init(self):
         states = [{"registered": set(), "served": set()}]
         for _ in self.workers:
             states.append({"buffer_ok": True, "progress": 0})
         states.append({"to_terminate": set()})
-        inflight = [(BufferId(w, 0), make_message("Register", proc=w)) for w in self.workers]
-        inflight.append(
-            (BufferId(self.terminator, 0), make_message("Register", proc=self.terminator))
-        )
-        inflight.append((BufferId(0, 0), make_message("Request", req=0)))
-        return states, inflight
+        return states, self._inflight
 
     def handle(self, proc, state, msg: Message, ctx):
         if proc == self.master:

@@ -120,15 +120,21 @@ def trace_fingerprint(trace: ConcreteEventTrace) -> bytes:
     return digest128(b"".join(keys[i] for i in _linearize(events, keys)))
 
 
-def model_state_items(run, lts) -> frozenset:
+def model_state_items(run, lts, cur=None, curs=None) -> frozenset:
     """State coverage items of a model run: its path after the model's
-    abstraction (``lts.merges``), deduplicated and fingerprinted in one pass."""
-    merges, cur = lts.merges, run.path[0]
+    abstraction (``lts.merges``), deduplicated and fingerprinted in one pass.
+    ``cur`` is the abstracted state at ``run.path[0]`` of a resumed run, and
+    a list ``curs`` gets the one at each later index of the path."""
+    merges, path = lts.merges, run.path
+    cur = path[0] if cur is None else cur
     items = {("state", fingerprint(cur))}
-    for prev, state in zip(run.path, run.path[1:]):
+    keep = None if curs is None else curs.append
+    for prev, state in zip(path, path[1:]):
         if state is not prev and not (merges and merges(cur, state)):
             cur = state
             items.add(("state", fingerprint(cur)))
+        if keep:
+            keep(cur)
     return frozenset(items)
 
 

@@ -8,16 +8,20 @@ is dequeued, and each mutant is built when it is dequeued; a mutant equal to
 a schedule already run in the campaign, or proved to repeat its parent's run,
 still counts as an iteration but is not executed.  Any other mutant resumes
 from a checkpoint of its parent's run, taken by an earlier sibling, near
-where it can first diverge from it.  When the queue drains, a fresh random
-corpus is generated and the cycle repeats until the budget runs out.
+where it can first diverge from it, and its model layers resume from an
+earlier sibling's walk where both still agree with the parent.  When the
+queue drains, a fresh random corpus is generated and the cycle repeats until
+the budget runs out.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import NamedTuple
 
 from .benchmarks import NO_CRASHES, Benchmark
@@ -204,6 +208,48 @@ def divergence(s: Schedule, run: ExecutionResult, bits: ReadyBits):
     return diverge
 
 
+class ModelWalk(NamedTuple):
+    """A run's model layers, kept for later siblings to resume from."""
+
+    path: tuple       # the model run's path
+    curs: list        # the abstracted state at each index of the path
+    unmatched: tuple  # indices of the actions the model rejected
+    shared: int       # leading events that are the parent's
+
+
+_NO_WALK = ModelWalk((), [], (), 0)
+
+
+def walk_model(bench: Benchmark, trace, shared: int, known: ModelWalk | None = None,
+               keep: bool = False):
+    """Map ``trace``, step the model along it and take its state items:
+    (items, unmatched count, this run's ModelWalk if ``keep`` else None).
+
+    The first ``shared`` events are the parent's, as are the first
+    ``known.shared`` of a sibling's walk ``known``.  Events map one by one and
+    the model is deterministic, so up to r = min(shared, known.shared) the
+    actions, path, abstracted state and unmatched indices are known's: the
+    walk resumes at r, and leaves out the items before it, which are the
+    parent's and counted already.
+    """
+    lts, known = bench.lts, known or _NO_WALK
+    r = min(shared, known.shared)
+    start, cur, prior = None, lts.initial, ()
+    if r:
+        trace = trace._replace(events=trace.events[r:])
+        start, cur = known.path[r], known.curs[r]
+        prior = known.unmatched[:bisect_left(known.unmatched, r)]
+    curs = known.curs[:r] + [cur] if keep else None
+    run = run_actions(lts, map_events(bench, trace), start)
+    items = model_state_items(run, lts, cur, curs)
+    walk = ModelWalk(known.path[:r] + run.path, curs,
+                     prior + tuple(r + i for i in run.unmatched), shared) if keep else None
+    return items, len(prior) + len(run.unmatched), walk
+
+
+_step = attrgetter("step")
+
+
 def mutate(s: Schedule, kind: str, rng: random.Random, *,
            num_processes: int) -> Schedule:
     """One small schedule change; the result always satisfies the invariants.
@@ -326,7 +372,9 @@ def fuzz_campaign(config: CampaignConfig) -> CampaignResult:
     # parent's run, the step of its RESUME_EVENTS-th event or None, the first
     # sibling's id, their number) with the parent's other mutants.
     queue = deque(fresh_entries(0))
-    family = held = None  # the siblings being dequeued, and their checkpoints
+    # The siblings being dequeued, their checkpoints, and the ModelWalk of the
+    # executed one that shares the most events with their parent.
+    family = held = known = None
     iteration = 0
     while iteration < config.budget:
         if deadline is not None and time.monotonic() >= deadline:
@@ -342,7 +390,7 @@ def fuzz_campaign(config: CampaignConfig) -> CampaignResult:
             if siblings is not family:
                 # The first sibling dequeued draws them all: siblings are
                 # contiguous in the queue, so the rng order is unchanged.
-                family, held, n = siblings, {}, len(schedule.steps)
+                family, held, known, n = siblings, {}, None, len(schedule.steps)
                 summary = mutation_summary(schedule, bench.sut.process_count)
                 mutations = [draw_mutation(summary, AUTO, rng) for _ in range(drawn)]
                 ends = [n if m is None else diverge(m) for m in mutations]
@@ -377,11 +425,15 @@ def fuzz_campaign(config: CampaignConfig) -> CampaignResult:
             held.update(marks)
         unmatched = 0
         if need_model:
-            actions = map_events(bench, exec_result.trace)
-            model_run = run_actions(bench.lts, actions)
-            unmatched = len(model_run.unmatched)
+            shared = keep = 0
+            if siblings is not None:
+                # Its events before its divergence step are its parent's.
+                shared = bisect_left(exec_result.trace.events, ends[k], key=_step)
+                keep = k + 1 < drawn and shared > (known.shared if known else 0)
+            state_items, unmatched, walk = walk_model(
+                bench, exec_result.trace, shared, known, keep)
+            known = walk or known
             result.unmatched_actions += unmatched
-            state_items = model_state_items(model_run, bench.lts)
             states |= state_items
         # The model notion's coverage items are the state items just computed.
         items = (state_items if config.notion == MODEL

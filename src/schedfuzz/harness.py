@@ -98,7 +98,7 @@ class ReadyBits(NamedTuple):
     bit: dict        # BufferId -> its bit; a buffer without one is never deliverable
     receives: tuple  # process -> mask of the buffers it receives on
     control: int     # mask of the control buffers
-    outbound: tuple  # sender -> {receiver: (BufferId, its bit)}
+    outbound: tuple  # sender -> {receiver: (BufferId, its bit)}, control buffers left out
 
 
 class SystemUnderTest:
@@ -144,7 +144,7 @@ class SystemUnderTest:
     def ready_bits(self) -> ReadyBits:
         """One bit per buffer a message can be in: process pairs, then extra
         buffers, then the self pairs not among them; and per sender, the buffer
-        and bit each of its sends lands in."""
+        and bit each of its sends lands in (none for a control buffer)."""
         procs = range(self.process_count)
         bit = {buf: 1 << n for n, buf in enumerate(dict.fromkeys([
             *buffer_universe(self.process_count, self.extra_buffers),
@@ -153,7 +153,8 @@ class SystemUnderTest:
         for buf, b in bit.items():
             receives[buf.receiver] |= b
         control = sum(bit.get(buf, 0) for buf in self.control_buffers)
-        outbound = tuple({r: (BufferId(s, r), bit[BufferId(s, r)]) for r in procs} for s in procs)
+        outbound = tuple({r: (BufferId(s, r), bit[BufferId(s, r)]) for r in procs
+                          if BufferId(s, r) not in self.control_buffers} for s in procs)
         return ReadyBits(bit, tuple(receives), control, outbound)
 
     def oracle_init(self):
@@ -226,6 +227,9 @@ def init_state(sut: SystemUnderTest) -> HarnessState:
         if buf not in bits.bit:
             raise HarnessError(f"initial {msg.verb} message in buffer {buf.sender}->"
                                f"{buf.receiver}, which is no buffer of {sut.name!r}")
+        if buf in sut.control_buffers:
+            raise HarnessError(f"initial {msg.verb} message in control buffer {buf.sender}->"
+                               f"{buf.receiver}, whose messages are never delivered")
         hs.buffers.setdefault(buf, deque()).append(msg)
         hs.ready |= bits.bit[buf]
     hs.oracle = sut.oracle_init()
@@ -327,8 +331,10 @@ def stepper(sut: SystemUnderTest, hs: HarnessState, record=None):
                 try:
                     buf, b = sends[dest]
                 except KeyError:
-                    raise HarnessError(f"process {proc} sent {out.verb} to process {dest}, "
-                                       f"outside 0..{sut.process_count - 1}") from None
+                    raise HarnessError(f"process {proc} sent {out.verb} " + (
+                        f"over control buffer {proc}->{dest}, whose messages are never "
+                        "delivered" if BufferId(proc, dest) in sut.control_buffers else
+                        f"to process {dest}, outside 0..{sut.process_count - 1}")) from None
                 q = buffers.get(buf)
                 if q is None:
                     q = buffers[buf] = deque()

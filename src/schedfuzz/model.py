@@ -52,15 +52,16 @@ class RunResult(NamedTuple):
     unmatched: tuple  # indices of the actions the model rejected
 
 
-def run_actions(lts: Lts, actions) -> RunResult:
-    """Step the model along a mapped action sequence.
+def run_actions(lts: Lts, actions, start=None) -> RunResult:
+    """Step the model along a mapped action sequence, from ``start`` if given
+    (a state a resumed run's prefix reached), else from the initial state.
 
     An action disabled in the current state is recorded as unmatched and
     leaves the state unchanged, so one divergence does not poison the rest
     of the run.  An action whose *name* the model has never heard of is a
     mapping-contract violation and raises instead.
     """
-    q = lts.initial
+    q = lts.initial if start is None else start
     path = [q]
     unmatched = []
     for idx, action in enumerate(actions):

@@ -65,11 +65,8 @@ class GenParams:
 
 def buffer_universe(num_processes: int, extra_buffers=()) -> list[BufferId]:
     """Every ordered pair of distinct processes, then the extra buffers."""
-    pairs = [
-        BufferId(i, j) for i in range(num_processes) for j in range(num_processes) if i != j
-    ]
-    pairs.extend(extra_buffers)
-    return pairs
+    procs = range(num_processes)
+    return [*(BufferId(i, j) for i in procs for j in procs if i != j), *extra_buffers]
 
 
 def randbelow(rng: random.Random, n: int) -> int:

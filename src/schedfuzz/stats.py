@@ -36,14 +36,7 @@ def _midranks(pooled) -> list:
 
 
 def u_statistic(xs, ys) -> float:
-    u = 0.0
-    for x in xs:
-        for y in ys:
-            if x > y:
-                u += 1.0
-            elif x == y:
-                u += 0.5
-    return u
+    return sum(1.0 if x > y else 0.5 if x == y else 0.0 for x in xs for y in ys)
 
 
 def mann_whitney_u(xs, ys) -> tuple:
@@ -150,31 +143,17 @@ def compare_strategies(config: CompareConfig) -> ComparisonResult:
         states_v, cov_v, bug_v = [], [], []
         finds = 0
         for run in range(config.runs):
-            bench = config.benchmark_factory()
-            res = fuzz_campaign(
-                CampaignConfig(
-                    benchmark=bench,
-                    notion=notion,
-                    budget=config.budget,
-                    master_seed=derive_seed(config.master_seed, notion, run),
-                    corpus_size=config.corpus_size,
-                    energy_per_item=config.energy_per_item,
-                    track_states=config.track_states,
-                    stop_on_bug=config.stop_on_bug,
-                )
-            )
+            res = fuzz_campaign(CampaignConfig(
+                benchmark=config.benchmark_factory(), notion=notion, budget=config.budget,
+                master_seed=derive_seed(config.master_seed, notion, run),
+                corpus_size=config.corpus_size, energy_per_item=config.energy_per_item,
+                track_states=config.track_states, stop_on_bug=config.stop_on_bug))
             states_v.append(len(res.state_coverage))
             cov_v.append(len(res.total_coverage))
-            first = (
-                res.first_bug_iteration(config.stop_on_bug)
-                if config.stop_on_bug
-                else (res.bug_log[0].first_iteration if res.bug_log else None)
-            )
-            if first is not None:
-                finds += 1
-                bug_v.append(first)
-            else:
-                bug_v.append(config.budget + 1)
+            first = (res.first_bug_iteration(config.stop_on_bug) if config.stop_on_bug
+                     else res.bug_log[0].first_iteration if res.bug_log else None)
+            finds += first is not None
+            bug_v.append(config.budget + 1 if first is None else first)
             out.timelines[(notion, run)] = res.timeline
         out.final_states[notion] = states_v
         out.final_coverage[notion] = cov_v

@@ -264,6 +264,48 @@ def test_an_initial_message_to_itself_is_delivered():
     assert result.trace.skipped == ()
 
 
+class Looped(PingPong):
+    """PingPong whose process 1 has a control buffer (1, 1); it answers each
+    ball over that buffer, or finds its ball there from the start."""
+
+    extra_buffers = (BufferId(1, 1),)
+    control_buffers = frozenset(extra_buffers)
+
+    def __init__(self, placed=False, broadcast=False):
+        super().__init__(balls=1)
+        self.placed, self.broadcast = placed, broadcast
+
+    def init(self):
+        states, inflight = super().init()
+        return states, [(BufferId(1, 1), m) for _, m in inflight] if self.placed else inflight
+
+    def control_message(self, buf):
+        return make_message("Tick")
+
+    def handle(self, proc, state, msg, ctx):
+        if proc == 1 and self.broadcast:
+            ctx.broadcast((0, 1), "Ball", n=msg.field("n"))
+        elif proc == 1:
+            ctx.send(1, "Ball", n=msg.field("n"))
+
+
+@pytest.mark.parametrize("broadcast", [False, True])
+def test_a_send_over_a_control_buffer_is_a_harness_error(broadcast):
+    s = Schedule(steps=(deliver(BufferId(0, 1)),))
+    with pytest.raises(HarnessError) as e:
+        execute_schedule(Looped(broadcast=broadcast), s)
+    assert str(e.value) == ("process 1 sent Ball over control buffer 1->1, "
+                            "whose messages are never delivered")
+
+
+def test_an_initial_message_in_a_control_buffer_is_a_harness_error():
+    for run in (init_state, lambda sut: execute_schedule(sut, Schedule(steps=()))):
+        with pytest.raises(HarnessError) as e:
+            run(Looped(placed=True))
+        assert str(e.value) == ("initial Ball message in control buffer 1->1, "
+                                "whose messages are never delivered")
+
+
 def test_a_broadcast_in_range_lands_in_each_buffer():
     s = Schedule(steps=(deliver(BufferId(0, 1), 2), deliver(BufferId(1, 0), 4)))
     result = execute_schedule(Stray(0, broadcast=True), s)

@@ -218,9 +218,10 @@ def drive(sut, schedule):
 
 
 class Chaos(SystemUnderTest):
-    """Four processes that send, broadcast, send to themselves, panic, trip
-    assertions, crash, recover with sends of their own, and meet an oracle
-    with verdicts: every path of a turn, at random."""
+    """Four processes that send, broadcast, send to themselves (but over the
+    control buffer (0, 0)), panic, trip assertions, crash, recover with sends
+    of their own, and meet an oracle with verdicts: every path of a turn, at
+    random."""
 
     name = "chaos"
     process_count = 4
@@ -248,7 +249,7 @@ class Chaos(SystemUnderTest):
         v = msg.field("v")
         ctx.point(f"ping{v % 3}")
         ctx.send((proc + 1) % 4, "Ping", v=v + 1)
-        if v % 5 == 0:
+        if v % 5 == 0 and proc:  # (0, 0) is a control buffer
             ctx.send(proc, "Ping", v=v + 2)
         if v % 7 == 6:
             raise ValueError("seven")
