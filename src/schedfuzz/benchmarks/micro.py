@@ -27,7 +27,6 @@ NULL_DEREF = "NullDeref: task buffer flushed before final task"
 
 class MicroBench(SystemUnderTest):
     name = "micro"
-    crashes_allowed = False
 
     def __init__(self, m: int, n: int, bug_enabled: bool):
         if m < 1 or n < 1:
@@ -113,12 +112,6 @@ class MicroBench(SystemUnderTest):
             ctx.send(w, "Flush")
         else:
             raise HarnessError(f"terminator got unexpected {msg.verb}")
-
-    def persistent_state(self, proc, state):
-        return None  # a dead micro process stays dead
-
-    def recover(self, proc, persisted, ctx):
-        raise HarnessError("micro benchmark does not support crash/restart")
 
     def snapshot(self, proc, state):
         if proc == self.master:

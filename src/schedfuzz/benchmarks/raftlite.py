@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from ..harness import Message, SystemUnderTest, make_message
 from ..mapper import RECV
-from ..model import Lts, MappingContractError, ModelAction
+from ..model import Lts, MappingContractError, ModelAction, _set
 from ..schedule import BufferId
 
 FOLLOWER, CANDIDATE, LEADER = 0, 1, 2
@@ -500,7 +500,3 @@ def raftlite_model(proc_count: int) -> Lts:
         return acts
 
     return Lts(initial=initial, step=step, enabled=enabled, merges=merge_terms)
-
-
-def _set(t: tuple, i: int, v) -> tuple:
-    return t[:i] + (v,) + t[i + 1:]

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from ..harness import HarnessError, Message, SystemUnderTest, make_message
 from ..mapper import RECV, SEND
-from ..model import Lts, MappingContractError, ModelAction
+from ..model import Lts, MappingContractError, ModelAction, _set
 from ..schedule import BufferId
 
 # Per-transaction phases (TM) and statuses (RM); RM statuses reuse the
@@ -33,7 +33,6 @@ def tx_vars(tx: int, var_count: int) -> tuple:
 
 class TpcBench(SystemUnderTest):
     name = "tpc"
-    crashes_allowed = False
 
     def __init__(self, rm_count: int, var_count: int, request_count: int):
         if rm_count < 1 or var_count < 1 or request_count < 1:
@@ -107,12 +106,6 @@ class TpcBench(SystemUnderTest):
             ctx.point("rm.decision")
         else:
             raise HarnessError(f"RM got unexpected {msg.verb}")
-
-    def persistent_state(self, proc, state):
-        return None  # protocol is not fault-tolerant; dead RMs stay dead
-
-    def recover(self, proc, persisted, ctx):
-        raise HarnessError("tpc benchmark does not support crash/restart")
 
     def snapshot(self, proc, state):
         if proc == self.tm:
@@ -286,10 +279,6 @@ def tpc_model(rm_count: int, var_count: int, request_count: int) -> Lts:
         return acts
 
     return Lts(initial=initial, step=step, enabled=enabled)
-
-
-def _set(t: tuple, i: int, v) -> tuple:
-    return t[:i] + (v,) + t[i + 1:]
 
 
 def _set2(t: tuple, i: int, j: int, v) -> tuple:

@@ -124,17 +124,19 @@ def model_state_items(run, lts, cur=None, curs=None) -> frozenset:
     """State coverage items of a model run: its path after the model's
     abstraction (``lts.merges``), deduplicated and fingerprinted in one pass.
     ``cur`` is the abstracted state at ``run.path[0]`` of a resumed run, and
-    a list ``curs`` gets the one at each later index of the path."""
+    each path index in the dict ``curs`` gets the abstracted state there."""
     merges, path = lts.merges, run.path
     cur = path[0] if cur is None else cur
     items = {("state", fingerprint(cur))}
-    keep = None if curs is None else curs.append
-    for prev, state in zip(path, path[1:]):
-        if state is not prev and not (merges and merges(cur, state)):
-            cur = state
-            items.add(("state", fingerprint(cur)))
-        if keep:
-            keep(cur)
+    i, curs = 0, curs or {}
+    for stop in [*sorted(curs), len(path) - 1]:
+        for prev, state in zip(path[i:stop], path[i + 1:stop + 1]):
+            if state is not prev and not (merges and merges(cur, state)):
+                cur = state
+                items.add(("state", fingerprint(cur)))
+        if stop in curs:
+            curs[stop] = cur
+        i = stop
     return frozenset(items)
 
 

@@ -8,10 +8,9 @@ is dequeued, and each mutant is built when it is dequeued; a mutant equal to
 a schedule already run in the campaign, or proved to repeat its parent's run,
 still counts as an iteration but is not executed.  Any other mutant resumes
 from a checkpoint of its parent's run, taken by an earlier sibling, near
-where it can first diverge from it, and its model layers resume from an
-earlier sibling's walk where both still agree with the parent.  When the
-queue drains, a fresh random corpus is generated and the cycle repeats until
-the budget runs out.
+where it can first diverge from it; the checkpoint holds the model's state
+there too, so every layer resumes from it.  When the queue drains, a fresh
+random corpus is generated and the cycle repeats until the budget runs out.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import time
 from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import NamedTuple
 
 from .benchmarks import NO_CRASHES, Benchmark
@@ -208,46 +206,28 @@ def divergence(s: Schedule, run: ExecutionResult, bits: ReadyBits):
     return diverge
 
 
-class ModelWalk(NamedTuple):
-    """A run's model layers, kept for later siblings to resume from."""
-
-    path: tuple       # the model run's path
-    curs: list        # the abstracted state at each index of the path
-    unmatched: tuple  # indices of the actions the model rejected
-    shared: int       # leading events that are the parent's
-
-
-_NO_WALK = ModelWalk((), [], (), 0)
-
-
-def walk_model(bench: Benchmark, trace, shared: int, known: ModelWalk | None = None,
-               keep: bool = False):
+def walk_model(bench: Benchmark, trace, start=None, marks=None):
     """Map ``trace``, step the model along it and take its state items:
-    (items, unmatched count, this run's ModelWalk if ``keep`` else None).
+    (items, unmatched count).
 
-    The first ``shared`` events are the parent's, as are the first
-    ``known.shared`` of a sibling's walk ``known``.  Events map one by one and
-    the model is deterministic, so up to r = min(shared, known.shared) the
-    actions, path, abstracted state and unmatched indices are known's: the
-    walk resumes at r, and leaves out the items before it, which are the
-    parent's and counted already.
+    ``start = (e, (state, cur, unmatched))`` resumes the walk at event ``e``
+    from a checkpoint's triple: the model state, the abstracted state and the
+    count of rejected actions there, of a run whose first ``e`` events are
+    this run's.  Events map one by one and the model is deterministic, so the
+    resumed walk ends as the walk from event 0 does; the items it leaves out
+    are the parent's, counted already.  Each event index in the dict
+    ``marks``, none before ``e``, gets this walk's triple there.
     """
-    lts, known = bench.lts, known or _NO_WALK
-    r = min(shared, known.shared)
-    start, cur, prior = None, lts.initial, ()
-    if r:
-        trace = trace._replace(events=trace.events[r:])
-        start, cur = known.path[r], known.curs[r]
-        prior = known.unmatched[:bisect_left(known.unmatched, r)]
-    curs = known.curs[:r] + [cur] if keep else None
-    run = run_actions(lts, map_events(bench, trace), start)
+    lts = bench.lts
+    e, (state, cur, prior) = start or (0, (None, None, 0))
+    if e:
+        trace = trace._replace(events=trace.events[e:])
+    run = run_actions(lts, map_events(bench, trace), state)
+    curs = {x - e: None for x in marks} if marks else None
     items = model_state_items(run, lts, cur, curs)
-    walk = ModelWalk(known.path[:r] + run.path, curs,
-                     prior + tuple(r + i for i in run.unmatched), shared) if keep else None
-    return items, len(prior) + len(run.unmatched), walk
-
-
-_step = attrgetter("step")
+    for x in marks or ():
+        marks[x] = (run.path[x - e], curs[x - e], prior + bisect_left(run.unmatched, x - e))
+    return items, prior + len(run.unmatched)
 
 
 def mutate(s: Schedule, kind: str, rng: random.Random, *,
@@ -372,9 +352,9 @@ def fuzz_campaign(config: CampaignConfig) -> CampaignResult:
     # parent's run, the step of its RESUME_EVENTS-th event or None, the first
     # sibling's id, their number) with the parent's other mutants.
     queue = deque(fresh_entries(0))
-    # The siblings being dequeued, their checkpoints, and the ModelWalk of the
-    # executed one that shares the most events with their parent.
-    family = held = known = None
+    # The siblings being dequeued, and their checkpoints: step -> (harness
+    # state, ready masks, the model's triple there or None without the model).
+    family = held = None
     iteration = 0
     while iteration < config.budget:
         if deadline is not None and time.monotonic() >= deadline:
@@ -384,13 +364,13 @@ def fuzz_campaign(config: CampaignConfig) -> CampaignResult:
             result.repopulations += 1
         schedule, entry_id, parent, discovered_at, siblings = queue.popleft()
         iteration += 1
-        start = marks = None
+        start = marks = resume = None
         if siblings is not None:
             diverge, floor, first, drawn = siblings
             if siblings is not family:
                 # The first sibling dequeued draws them all: siblings are
                 # contiguous in the queue, so the rng order is unchanged.
-                family, held, known, n = siblings, {}, None, len(schedule.steps)
+                family, held, n = siblings, {}, len(schedule.steps)
                 summary = mutation_summary(schedule, bench.sut.process_count)
                 mutations = [draw_mutation(summary, AUTO, rng) for _ in range(drawn)]
                 ends = [n if m is None else diverge(m) for m in mutations]
@@ -416,25 +396,22 @@ def fuzz_campaign(config: CampaignConfig) -> CampaignResult:
                 d, later = ends[k], resumes[k + 1:]
                 c = max((x for x in held if x <= d), default=0)
                 if c:
-                    hs, ready = start = held.pop(c)
+                    hs, ready, model = start = held.pop(c)
+                    resume = (len(hs.events), model)
                     if any(x >= c for x in later):
-                        held[c], start = start, (clone_hs(bench.sut, hs), ready)
+                        held[c], start = start, (clone_hs(bench.sut, hs), ready, model)
                 marks = {x: None for x in later if c < x <= d}
         exec_result = execute_schedule(bench.sut, schedule, start, marks)
-        if marks:
-            held.update(marks)
+        # The event index of each new checkpoint, and the model's triple there.
+        at = {len(hs.events): None for hs, _ in marks.values()} if marks else None
         unmatched = 0
         if need_model:
-            shared = keep = 0
-            if siblings is not None:
-                # Its events before its divergence step are its parent's.
-                shared = bisect_left(exec_result.trace.events, ends[k], key=_step)
-                keep = k + 1 < drawn and shared > (known.shared if known else 0)
-            state_items, unmatched, walk = walk_model(
-                bench, exec_result.trace, shared, known, keep)
-            known = walk or known
+            state_items, unmatched = walk_model(bench, exec_result.trace, resume, at)
             result.unmatched_actions += unmatched
             states |= state_items
+        if marks:
+            held.update((x, (hs, ready, at[len(hs.events)]))
+                        for x, (hs, ready) in marks.items())
         # The model notion's coverage items are the state items just computed.
         items = (state_items if config.notion == MODEL
                  else assess(config.notion, exec_result))

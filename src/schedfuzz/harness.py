@@ -105,12 +105,14 @@ class SystemUnderTest:
     """Contract every benchmark implements.
 
     Handlers must be deterministic functions of (local state, message); they
-    talk to the world only through the HandlerContext passed in.
+    talk to the world only through the HandlerContext passed in.  A system
+    that tolerates crashes sets ``crashes_allowed`` and overrides
+    ``persistent_state`` and ``recover``.
     """
 
     name: str = "?"
     process_count: int = 0
-    crashes_allowed: bool = True
+    crashes_allowed: bool = False
     # Perpetual control channels: never empty, each pop yields control_message().
     control_buffers: frozenset = frozenset()
     # Channels beyond the ordinary sender != receiver pairs (e.g. client or
@@ -128,13 +130,14 @@ class SystemUnderTest:
         raise NotImplementedError
 
     def persistent_state(self, proc: int, state):
-        """The part of a process state that survives a crash; it is never
-        mutated once returned (``recover`` copies what it changes)."""
-        raise NotImplementedError
+        """The part of a process state that survives a crash (by default none:
+        a dead process stays dead); it is never mutated once returned
+        (``recover`` copies what it changes)."""
+        return None
 
     def recover(self, proc: int, persisted, ctx: "HandlerContext"):
         """Rebuild a live state from the persisted part; may send messages."""
-        raise NotImplementedError
+        raise HarnessError(f"{self.name} benchmark does not support crash/restart")
 
     def snapshot(self, proc: int, state) -> tuple:
         """Canonical tuple view of a process state (for equality checks)."""
@@ -249,9 +252,11 @@ def clone_hs(sut: SystemUnderTest, hs: HarnessState) -> HarnessState:
 def execute_schedule(sut: SystemUnderTest, schedule: Schedule, start=None,
                      marks=None) -> ExecutionResult:
     """Run ``schedule`` from the start, or from ``start``: a checkpoint
-    ``(hs, ready)`` of a run that agreed with this one before step
-    ``len(ready) - 1``, whose ``hs`` this run uses up.  Each step in the dict
-    ``marks``, none before the start, gets this run's checkpoint there."""
+    ``(hs, ready, ...)`` of a run that agreed with this one before step
+    ``len(ready) - 1``, whose ``hs`` this run uses up; items after ``ready``,
+    such as the model's state there, are the caller's.  Each step in the dict
+    ``marks``, none before the start, gets this run's checkpoint ``(hs,
+    ready)`` there."""
     if start is None:
         hs = init_state(sut)
         ready = [hs.ready]

@@ -47,6 +47,11 @@ class Lts:
     merges: Callable[[object, object], bool] | None = None
 
 
+def _set(t: tuple, i: int, v) -> tuple:
+    """``t`` with item ``i`` replaced by ``v``: a model step's state update."""
+    return t[:i] + (v,) + t[i + 1:]
+
+
 class RunResult(NamedTuple):
     path: tuple       # the initial state, then the state after each action
     unmatched: tuple  # indices of the actions the model rejected

@@ -1,20 +1,19 @@
-"""Mutants resumed from checkpoints of their parent's run, and model walks
-resumed from a sibling's, against runs and walks from the start.
+"""Mutants resumed from checkpoints of their parent's run, in every layer,
+against runs and walks from the start.
 
 ``fuzzer.divergence`` names the first step at which a mutant's run can differ
 from its parent's; ``execute_schedule`` takes checkpoints (``marks``) and
 resumes from one (``start``); ``harness.clone_hs`` copies a checkpoint.
 ``fuzzer.walk_model`` maps a run's trace, steps the model and takes the state
-items, resuming from a sibling's ``ModelWalk`` where both runs still have
-their parent's events.  The references are ``execute_schedule`` run from the
-start, ``walk_model`` without a sibling's walk, and a campaign with resuming
-turned off.
+items; it records the model's triple (state, abstracted state, unmatched
+count) at a checkpoint's event index, and resumes from such a triple.  The
+references are ``execute_schedule`` run from the start, the full walk, and a
+campaign with resuming turned off.
 """
 
 import copy
 import dataclasses
 import random
-from bisect import bisect_left
 from collections import Counter
 
 import pytest
@@ -147,21 +146,30 @@ def _odd_relays_rejected():
         None if a.name == "Relay" and a.args[1] % 2 else step(q, a))))
 
 
-def _shared(result, step):
-    """The events of ``result`` before ``step``."""
-    return bisect_left(result.trace.events, step, key=lambda e: e.step)
+def _triples(bench, trace):
+    """The reference triple at each event index of ``trace``'s full walk: the
+    model state, the abstracted state (``lts.merges`` applied along the path)
+    and the count of rejected actions before it."""
+    lts = bench.lts
+    run = run_actions(lts, map_events(bench, trace))
+    cur, out = run.path[0], []
+    for i, state in enumerate(run.path):
+        if i and state != cur and not (lts.merges and lts.merges(cur, state)):
+            cur = state
+        out.append((state, cur, sum(u < i for u in run.unmatched)))
+    return out
 
 
 @pytest.mark.parametrize("name", [*BENCHES, "micro-odd-relays"])
-def test_a_resumed_model_walk_is_the_full_walk(name):
+def test_a_model_walk_resumed_from_a_checkpoint_is_the_full_walk(name):
     bench = _odd_relays_rejected() if name == "micro-odd-relays" else BENCHES[name]()
     sut = bench.sut
     rng = random.Random(47)
     outcomes = Counter()
     cases = 0
     while cases < 1000:
-        # A parent and two siblings: the first walks in full, the second
-        # resumes from the first's walk.
+        # A parent and two siblings: the first checkpoints at the second's
+        # divergence step, and the second resumes from that checkpoint.
         s = generate_random_schedule(bench.gen_defaults, rng)
         summary = mutation_summary(s, sut.process_count)
         ms = [draw_mutation(summary, AUTO, rng) for _ in range(2)]
@@ -170,25 +178,36 @@ def test_a_resumed_model_walk_is_the_full_walk(name):
         cases += 1
         run = execute_schedule(sut, s)
         diverge = divergence(s, run, sut.ready_bits)
-        first, second = (execute_schedule(sut, build_mutant(s, m)) for m in ms)
-        k1, k2 = _shared(first, diverge(ms[0])), _shared(second, diverge(ms[1]))
-        *_, known = walk_model(bench, first.trace, k1, None, True)
-        items, unmatched, walk = walk_model(bench, second.trace, k2, known, True)
-        full_items, full_unmatched, full = walk_model(bench, second.trace, k2, None, True)
-        r = min(k1, k2)
-        assert walk == full
-        assert walk.path[:r] == known.path[:r]
-        assert unmatched == full_unmatched == len(full.unmatched)
+        # The checkpoint must lie where the first still runs as its parent.
+        ms.sort(key=diverge, reverse=True)
+        first, second = (build_mutant(s, m) for m in ms)
+        marks = {diverge(ms[1]): None}
+        first_run = execute_schedule(sut, first, None, marks)
+        (hs, ready), = marks.values()
+        e = len(hs.events)
+        at = {e: None}
+        # Recording a triple leaves the walk's items and count as they are.
+        assert walk_model(bench, first_run.trace, None, at) == walk_model(bench, first_run.trace)
+        full_run = execute_schedule(sut, second)
+        ref = _triples(bench, full_run.trace)
+        assert at[e] == ref[e]
+        resumed_run = execute_schedule(sut, second, (hs, ready, at[e]))
+        assert resumed_run == full_run
+        # A resumed walk records later triples too, as a resumed sibling does
+        # for the checkpoints it takes on its way.
+        x = rng.randint(e, len(full_run.trace.events))
+        later = {x: None}
+        items, unmatched = walk_model(bench, resumed_run.trace, (e, at[e]), later)
+        assert later[x] == ref[x]
+        full_items, full_unmatched = walk_model(bench, full_run.trace)
+        assert unmatched == full_unmatched == ref[-1][2]
         # The items left out are those of the parent's prefix.
-        *_, parent = walk_model(bench, run.trace, 0, None, True)
-        prefix = {("state", fingerprint(c)) for c in parent.curs[:r + 1]}
+        prefix = {("state", fingerprint(cur)) for _, cur, _ in _triples(bench, run.trace)[:e]}
         assert items <= full_items == items | prefix
-        outcomes["resumed" if r else "full"] += 1
-        outcomes["k2 < k1" if k2 < k1 else "k2 > k1" if k2 > k1 else "k2 = k1"] += 1
-        outcomes["prefix unmatched"] += bool(r and full.unmatched and full.unmatched[0] < r)
+        outcomes["resumed" if e else "from event 0"] += 1
         outcomes["items left out"] += items != full_items
-    assert min(outcomes[x] for x in ("resumed", "full", "k2 < k1", "k2 > k1",
-                                     "items left out")) > 10, outcomes
+        outcomes["prefix unmatched"] += at[e][2] > 0
+    assert min(outcomes[x] for x in ("resumed", "items left out")) > 10, outcomes
     assert (outcomes["prefix unmatched"] > 10) == (name == "micro-odd-relays"), outcomes
 
 
@@ -203,22 +222,28 @@ CAMPAIGNS = {
 @pytest.mark.parametrize("name", list(CAMPAIGNS))
 def test_campaigns_with_and_without_resume_are_identical(monkeypatch, name, notion):
     make, stop_on_bug = CAMPAIGNS[name]
-    resumed, walks, last = [], [], []  # last: the campaign's bench and run
+    # last: the campaign's bench, its latest run, and the event count of that
+    # run's harness resume (None for a run from the start).
+    resumed, walks, last = [], [], []
 
     def checked(sut, schedule, start=None, marks=None):
+        at = None if start is None else len(start[0].events)
         out = execute_schedule(sut, schedule, start, marks)
         if start is not None:
             resumed.append(schedule)
             assert out == execute_schedule(sut, schedule)
-        last[1:] = [out]
+        last[1:] = [out, at]
         return out
 
     def checked_run(lts, actions, start=None):
         out = run_actions(lts, actions, start)
+        # The model resumes exactly where the harness did.
+        assert (start is None) == (last[2] is None)
         if start is not None:
             # The walk from the start ends as the resumed one does.
             full = run_actions(lts, map_events(last[0], last[1].trace))
             r = len(full.path) - len(out.path)
+            assert r == last[2]
             assert full.path[r:] == out.path
             assert tuple(i - r for i in full.unmatched if i >= r) == out.unmatched
             walks.append(r)
@@ -234,13 +259,9 @@ def test_campaigns_with_and_without_resume_are_identical(monkeypatch, name, noti
     monkeypatch.setattr(fuzzer, "run_actions", checked_run)
     on = campaign()
     monkeypatch.setattr(fuzzer, "RESUME_EVENTS", 10**9)  # no run gets that far
-    monkeypatch.setattr(fuzzer, "walk_model", lambda bench, trace, shared, known, keep:
-                        walk_model(bench, trace, shared, None, keep))
     count, resumed_walks = len(resumed), len(walks)
     off = campaign()
-    assert len(resumed) == count and len(walks) == resumed_walks
+    assert len(resumed) == count and len(walks) == resumed_walks == count
     assert on == off
     if name != "micro" and notion != "random":
         assert count > 0
-    if (name, notion) == ("raftlite", "model"):
-        assert resumed_walks > 0
