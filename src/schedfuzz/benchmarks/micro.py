@@ -120,12 +120,6 @@ class MicroBench(SystemUnderTest):
             return ("terminator", tuple(sorted(state["to_terminate"])))
         return ("worker", state["buffer_ok"], state["progress"])
 
-    def clone_state(self, proc, state):
-        return {k: set(v) if isinstance(v, set) else v for k, v in state.items()}
-
-    def clone_oracle(self, ostate):
-        return None
-
 
 class MicroState(NamedTuple):
     """<registered, requests, completed, dispatched, to_terminate, terminated>.

@@ -33,6 +33,9 @@ TERM_MONOTONICITY = "TermMonotonicity: a process's term decreased"
 
 TIMEOUT = make_message("Timeout")  # the one message of every control channel
 
+# The fields of a process state that survive a crash.
+PERSISTENT = ("term", "voted_for", "log", "snap_index", "snap_term", "served", "applied")
+
 
 def encode_entries(entries) -> str:
     return ",".join(f"{t}:{s}" for t, s in entries)
@@ -58,6 +61,8 @@ class RaftLiteBench(SystemUnderTest):
             raise ValueError("need an odd proc_count >= 3")
         if request_count < 1:
             raise ValueError("need request_count >= 1")
+        if snapshot_threshold < 0:
+            raise ValueError("need snapshot_threshold >= 0")
         self.process_count = proc_count
         self.request_count = request_count
         self.quorum_bug = quorum_bug
@@ -82,7 +87,7 @@ class RaftLiteBench(SystemUnderTest):
 
     def _fresh_state(self):
         return {
-            # persistent
+            # PERSISTENT
             "term": 0, "voted_for": -1, "log": [],
             "snap_index": 0, "snap_term": 0, "served": 0, "applied": [],
             # volatile
@@ -299,19 +304,11 @@ class RaftLiteBench(SystemUnderTest):
     # -- fault handling ------------------------------------------------------
 
     def persistent_state(self, proc, st):
-        return {
-            "term": st["term"], "voted_for": st["voted_for"],
-            "log": list(st["log"]), "snap_index": st["snap_index"],
-            "snap_term": st["snap_term"], "served": st["served"],
-            "applied": list(st["applied"]),
-        }
+        return {k: st[k] for k in PERSISTENT}
 
     def recover(self, proc, persisted, ctx):
         st = self._fresh_state()
-        st.update(persisted)
-        st["log"] = list(persisted["log"])
-        st["applied"] = list(persisted["applied"])
-        st["commit"] = st["snap_index"]
+        st.update(persisted, commit=persisted["snap_index"])
         ctx.point("recover")
         return st
 
@@ -321,22 +318,6 @@ class RaftLiteBench(SystemUnderTest):
             st["snap_index"], st["snap_term"], st["commit"],
             tuple(st["applied"]), st["served"], tuple(sorted(st["votes"])),
         )
-
-    def clone_state(self, proc, st):
-        c = dict(st)
-        c["log"] = list(st["log"])
-        c["applied"] = list(st["applied"])
-        c["votes"] = set(st["votes"])
-        c["next"] = dict(st["next"])
-        c["match"] = dict(st["match"])
-        return c
-
-    def clone_oracle(self, ostate):
-        return {
-            "leaders": {t: set(s) for t, s in ostate["leaders"].items()},
-            "prefix": list(ostate["prefix"]),
-            "terms": list(ostate["terms"]),
-        }
 
     # -- safety oracles ------------------------------------------------------
 

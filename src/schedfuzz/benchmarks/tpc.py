@@ -120,16 +120,6 @@ class TpcBench(SystemUnderTest):
             tuple(sorted(state["status"].items())),
         )
 
-    def clone_state(self, proc, state):
-        if proc == self.tm:
-            return {"phase": dict(state["phase"]),
-                    "yes": {tx: set(s) for tx, s in state["yes"].items()}}
-        return {"locks": dict(state["locks"]), "status": dict(state["status"])}
-
-    def clone_oracle(self, ostate):
-        return {"decided": dict(ostate["decided"]), "split": ostate["split"],
-                "by_tx": {tx: set(s) for tx, s in ostate["by_tx"].items()}}
-
     def oracle_init(self):
         # (rm, tx) -> status; tx -> the statuses decided for it; whether a tx
         # has two.  A decided entry is never overwritten, so "split" is sticky.

@@ -157,18 +157,17 @@ def write_timeline_csv(path: Path, timeline) -> None:
         w.writerows(timeline)
 
 
+def campaign_settings(args) -> dict:
+    """The settings that ``run`` and ``compare`` give each campaign, from
+    the flags they share."""
+    return dict(budget=args.budget, master_seed=args.seed, corpus_size=args.corpus_size,
+                energy_per_item=args.energy, track_states=not args.no_track_states,
+                stop_on_bug=args.stop_on_bug)
+
+
 def cmd_run(args) -> int:
-    config = CampaignConfig(
-        benchmark=get_benchmark(args),
-        notion=args.notion,
-        budget=args.budget,
-        budget_seconds=args.budget_seconds,
-        master_seed=args.seed,
-        corpus_size=args.corpus_size,
-        energy_per_item=args.energy,
-        track_states=not args.no_track_states,
-        stop_on_bug=args.stop_on_bug,
-    )
+    config = CampaignConfig(benchmark=get_benchmark(args), notion=args.notion,
+                            budget_seconds=args.budget_seconds, **campaign_settings(args))
     out_dir = args.out
     out_dir.mkdir(parents=True, exist_ok=True)
     result = fuzz_campaign(config)
@@ -214,17 +213,8 @@ def cmd_compare(args) -> int:
     out_dir = args.out
     out_dir.mkdir(parents=True, exist_ok=True)
     result = compare_strategies(
-        CompareConfig(
-            benchmark_factory=lambda: get_benchmark(args),
-            notions=notions,
-            runs=args.runs,
-            budget=args.budget,
-            master_seed=args.seed,
-            corpus_size=args.corpus_size,
-            energy_per_item=args.energy,
-            track_states=not args.no_track_states,
-            stop_on_bug=args.stop_on_bug,
-        )
+        CompareConfig(benchmark_factory=lambda: get_benchmark(args), notions=notions,
+                      runs=args.runs, **campaign_settings(args))
     )
     for (notion, run), timeline in sorted(result.timelines.items()):
         write_timeline_csv(out_dir / f"{notion}_run{run}.csv", timeline)

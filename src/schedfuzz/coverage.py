@@ -194,7 +194,7 @@ def enumerate_orderings(bench, max_depth: int,
         options = [buf for buf, b in moves if hs.ready & b]
         if options and depth < max_depth:
             for buf in options:
-                child = clone_hs(sut, hs)
+                child = clone_hs(hs)
                 stepper(sut, child)(((buf, DELIVER, 1),), depth)
                 walk(child, depth + 1)
             return

@@ -287,6 +287,9 @@ class CampaignConfig:
         if self.budget_seconds is not None and not self.budget_seconds > 0:
             raise CampaignConfigError(
                 f"budget seconds must be > 0, got {self.budget_seconds}")
+        if self.stop_on_bug == "":
+            # The empty string is in every key, yet falsy: it would never stop.
+            raise CampaignConfigError("stop on bug needs a non-empty key part")
 
 
 @dataclass
@@ -399,7 +402,7 @@ def fuzz_campaign(config: CampaignConfig) -> CampaignResult:
                     hs, ready, model = start = held.pop(c)
                     resume = (len(hs.events), model)
                     if any(x >= c for x in later):
-                        held[c], start = start, (clone_hs(bench.sut, hs), ready, model)
+                        held[c], start = start, (clone_hs(hs), ready, model)
                 marks = {x: None for x in later if c < x <= d}
         exec_result = execute_schedule(bench.sut, schedule, start, marks)
         # The event index of each new checkpoint, and the model's triple there.

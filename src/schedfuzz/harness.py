@@ -108,6 +108,11 @@ class SystemUnderTest:
     talk to the world only through the HandlerContext passed in.  A system
     that tolerates crashes sets ``crashes_allowed`` and overrides
     ``persistent_state`` and ``recover``.
+
+    The harness copies every process state, oracle state and persisted part
+    with ``copy_state``, so each must be built from dicts, nested to any
+    depth, and lists and sets whose items are immutable; any other value in
+    it (an int, a string, a tuple, None) must never be mutated.
     """
 
     name: str = "?"
@@ -131,12 +136,13 @@ class SystemUnderTest:
 
     def persistent_state(self, proc: int, state):
         """The part of a process state that survives a crash (by default none:
-        a dead process stays dead); it is never mutated once returned
-        (``recover`` copies what it changes)."""
+        a dead process stays dead).  The state itself is dropped, so the
+        part may share its values."""
         return None
 
     def recover(self, proc: int, persisted, ctx: "HandlerContext"):
-        """Rebuild a live state from the persisted part; may send messages."""
+        """Rebuild a live state from the persisted part, which it may keep;
+        may send messages."""
         raise HarnessError(f"{self.name} benchmark does not support crash/restart")
 
     def snapshot(self, proc: int, state) -> tuple:
@@ -166,13 +172,6 @@ class SystemUnderTest:
     def oracle_observe(self, ostate, event: ConcreteEvent, states, alive) -> list:
         """Return [(description, ...)] safety violations for this event."""
         return []
-
-    # Copies that share nothing mutable with the original, for clone_hs.
-    def clone_state(self, proc: int, state):
-        raise NotImplementedError
-
-    def clone_oracle(self, ostate):
-        raise NotImplementedError
 
 
 class HandlerContext:
@@ -239,14 +238,29 @@ def init_state(sut: SystemUnderTest) -> HarnessState:
     return hs
 
 
-def clone_hs(sut: SystemUnderTest, hs: HarnessState) -> HarnessState:
-    """A copy of ``hs`` that shares nothing a run mutates: persisted values,
-    never mutated once stored, are shared."""
+def copy_state(v):
+    """A copy of the benchmark state ``v`` that shares nothing mutable with
+    it: a dict is copied to any depth, a list or set one level deep (its items
+    are immutable), and any other value is immutable and shared."""
+    t = type(v)
+    if t is dict:
+        out = v.copy()
+        for k, x in v.items():
+            t = type(x)
+            if t is dict:
+                out[k] = copy_state(x)
+            elif t is list or t is set:
+                out[k] = t(x)
+        return out
+    return t(v) if t is list or t is set else v
+
+
+def clone_hs(hs: HarnessState) -> HarnessState:
+    """A copy of ``hs`` that shares nothing a run mutates."""
     return HarnessState(
-        [None if s is None else sut.clone_state(p, s) for p, s in enumerate(hs.states)],
-        {b: deque(q) for b, q in hs.buffers.items()}, set(hs.alive), dict(hs.persisted),
-        list(hs.events), list(hs.skipped), set(hs.points), list(hs.violations),
-        sut.clone_oracle(hs.oracle), hs.ready)
+        [copy_state(s) for s in hs.states], {b: deque(q) for b, q in hs.buffers.items()},
+        set(hs.alive), copy_state(hs.persisted), list(hs.events), list(hs.skipped),
+        set(hs.points), list(hs.violations), copy_state(hs.oracle), hs.ready)
 
 
 def execute_schedule(sut: SystemUnderTest, schedule: Schedule, start=None,
@@ -267,7 +281,7 @@ def execute_schedule(sut: SystemUnderTest, schedule: Schedule, start=None,
     if marks:
         for stop in sorted(marks):
             run(steps[len(ready) - 1:stop], len(ready) - 1)
-            marks[stop] = (clone_hs(sut, hs), tuple(ready))
+            marks[stop] = (clone_hs(hs), tuple(ready))
     run(steps[len(ready) - 1:], len(ready) - 1)
 
     final = tuple(

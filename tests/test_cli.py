@@ -271,6 +271,9 @@ BAD_SETTINGS = [
     ("run", ["--budget-seconds", "0"], "budget seconds"),
     ("run", ["--energy", "-1"], "energy"),
     ("compare", ["--energy", "-1"], "energy"),
+    # "" is in every bug key, yet falsy: it never stopped a campaign.
+    ("run", ["--stop-on-bug", ""], "stop on bug"),
+    ("compare", ["--stop-on-bug", ""], "stop on bug"),
 ]
 
 
@@ -288,6 +291,18 @@ def test_bad_campaign_setting_is_one_error_line(tmp_path, capsys, monkeypatch,
     assert code == 2
     assert len(err) == 1 and err[0].startswith("error:") and words in err[0]
     assert not list((tmp_path / "out").glob("*"))
+
+
+def test_a_negative_snapshot_threshold_is_one_error_line(tmp_path, capsys, monkeypatch):
+    _no_campaigns(monkeypatch)
+    argv = _command_argv("run", tmp_path) + [
+        "--bench", "raftlite", "--param", "raft.snapshot_threshold=-1"]
+    code = main(argv)
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error:") and "snapshot_threshold" in err[0]
+    assert not (tmp_path / "out").exists()
+
 
 BAD_CONFIGS = [
     ("run", {"budgett": 3, "corpus_size": 2}, "'budgett', 'corpus_size'"),

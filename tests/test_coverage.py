@@ -33,7 +33,9 @@ from schedfuzz.mapper import map_events
 from schedfuzz.model import bfs_reachable, run_actions
 from schedfuzz.schedule import (
     BufferId,
+    CRASH,
     DELIVER,
+    RESTART,
     Schedule,
     ScheduleStep,
     generate_random_schedule,
@@ -351,7 +353,7 @@ def reference_orderings(bench, max_depth: int) -> tuple:
                 tuple(v.key for v in hs.violations), trace.events))
         elif depth < max_depth:
             for buf in options:
-                child = clone_hs(sut, hs)
+                child = clone_hs(hs)
                 test_turns._deliver(sut, child, depth, buf, 1)
                 walk(child, depth + 1)
 
@@ -407,11 +409,23 @@ def _mutable_ids(value, out):
 
 def test_clone_copies_every_harness_field():
     raft = build_raftlite(5, 2, quorum_bug=True, crash_quota=30)
+    tpc = build_tpc(3, 2, 3)
     rng = random.Random(3)
-    # Random crash schedules, sampled every tenth step, and micro's assertion
-    # bug (Flush overtakes the last task), whose violation kills a process.
+    # Random crash schedules, sampled every tenth step; random tpc schedules,
+    # whose states and oracle nest sets in dicts, sampled every fifth step;
+    # a raftlite commit whose follower then crashes and restarts, since
+    # random schedules seldom commit; and micro's assertion bug (Flush
+    # overtakes the last task), whose violation kills a process.
     runs = [(raft.sut, generate_random_schedule(raft.gen_defaults, rng), 10)
             for _ in range(30)]
+    runs += [(tpc.sut, generate_random_schedule(tpc.gen_defaults, rng), 5)
+             for _ in range(30)]
+    commit_then_crash = Schedule(tuple(
+        ScheduleStep(BufferId(a, b), op, count) for a, b, op, count in (
+            (0, 0, DELIVER, 1), (0, 1, DELIVER, 1), (1, 0, DELIVER, 1), (0, 0, DELIVER, 1),
+            (0, 1, DELIVER, 2), (1, 0, DELIVER, 2), (0, 1, DELIVER, 1),
+            (1, 1, CRASH, 1), (1, 1, RESTART, 1))))
+    runs.append((build_raftlite(3, 1).sut, commit_then_crash, 1))
     flush_first = Schedule(tuple(
         ScheduleStep(BufferId(a, b), DELIVER, 1)
         for a, b in ((2, 0), (1, 0), (0, 0), (0, 2), (2, 1), (0, 1))))
@@ -424,19 +438,19 @@ def test_clone_copies_every_harness_field():
             run((step,), idx)
             if idx % every:
                 continue
-            clone = clone_hs(sut, hs)
+            clone = clone_hs(hs)
             for f in dataclasses.fields(HarnessState):
                 mine, theirs = getattr(clone, f.name), getattr(hs, f.name)
                 assert mine == theirs, f.name
-                if f.name == "persisted":
-                    # A stored persistent_state value is never mutated, so
-                    # the clone shares the values and copies the dict.
-                    assert mine is not theirs
-                else:
-                    assert not _mutable_ids(mine, set()) & _mutable_ids(theirs, set()), f.name
+                assert not _mutable_ids(mine, set()) & _mutable_ids(theirs, set()), f.name
                 if mine:
                     seen.add(f.name)
             if any(not q for q in hs.buffers.values()):
                 seen.add("empty buffer")
-    # Every field was checked holding something, empty buffers included.
-    assert seen == {f.name for f in dataclasses.fields(HarnessState)} | {"empty buffer"}
+            for where, held in (("states", hs.states), ("persisted", hs.persisted.values())):
+                if any(st and st.get("applied") for st in held):
+                    seen.add(f"applied entries in {where}")
+    # Every field was checked holding something, empty buffers and raftlite's
+    # applied entries included.
+    assert seen == {f.name for f in dataclasses.fields(HarnessState)} | {
+        "empty buffer", "applied entries in states", "applied entries in persisted"}

@@ -12,6 +12,7 @@ from schedfuzz.harness import (
     HarnessError,
     Message,
     SystemUnderTest,
+    clone_hs,
     execute_schedule,
     init_state,
     make_message,
@@ -81,6 +82,24 @@ def test_fifo_order_preserved_per_buffer():
         assert seq == sorted(seq)
     assert by_pair[(0, 1)] == [0, 1, 2, 3]
     assert by_pair[(1, 0)] == [0, 1, 2, 3]
+
+
+def test_a_system_without_copy_hooks_resumes_from_a_checkpoint():
+    """The harness copies any state of the documented shape, so a system
+    needs no copy method of its own to be checkpointed and resumed."""
+    sut = PingPong(balls=4)
+    s = Schedule(steps=(
+        deliver(BufferId(0, 1), 2),
+        deliver(BufferId(1, 0), 1),
+        deliver(BufferId(0, 1), 2),
+        deliver(BufferId(1, 0), 3),
+    ))
+    marks = {2: None}
+    full = execute_schedule(sut, s, None, marks)
+    hs, ready = marks[2]
+    assert hs.states == [{"seen": [0]}, {"seen": [0, 1]}]
+    assert execute_schedule(sut, s, (clone_hs(hs), ready)) == full
+    assert execute_schedule(sut, s, marks[2]) == full
 
 
 def test_deliver_more_than_occupancy_delivers_what_exists():

@@ -60,9 +60,9 @@ def _checkpoints(sut, schedule, steps):
     return marks, execute_schedule(sut, schedule, None, marks)
 
 
-def _copy(sut, point):
+def _copy(point):
     hs, ready = point
-    return clone_hs(sut, hs), ready
+    return clone_hs(hs), ready
 
 
 @pytest.mark.parametrize("name", list(BENCHES))
@@ -90,26 +90,25 @@ def test_a_resumed_mutant_runs_as_it_does_from_the_start(name):
         c = rng.randint(0, d)
         held, again = _checkpoints(sut, s, {c, d})
         assert again == run
-        assert execute_schedule(sut, mutant, _copy(sut, held[d])) == full
+        assert execute_schedule(sut, mutant, _copy(held[d])) == full
         # The mutant resumed at c takes checkpoints up to d on its way; they
         # are the parent's own, so the parent and the mutant resume from them.
         x = rng.randint(c + 1, d) if c < d else d
         marks = dict.fromkeys({x, d} - {c})
         assert execute_schedule(sut, mutant, held[c], marks) == full
         for point in marks.values():
-            assert execute_schedule(sut, s, _copy(sut, point)) == run
+            assert execute_schedule(sut, s, _copy(point)) == run
             assert execute_schedule(sut, mutant, point) == full
             outcomes["harvested"] += 1
     assert min(outcomes.values()) > 10, outcomes
 
 
-def _mutable_view(sut, hs):
+def _mutable_view(hs):
     """What a run may mutate in a harness state, as comparable values."""
     return (
-        [None if st is None else sut.snapshot(p, st) for p, st in enumerate(hs.states)],
-        copy.deepcopy(hs.oracle),
+        copy.deepcopy(hs.states), copy.deepcopy(hs.oracle),
         {b: list(q) for b, q in hs.buffers.items()},
-        set(hs.alive), dict(hs.persisted), list(hs.events), list(hs.skipped),
+        set(hs.alive), copy.deepcopy(hs.persisted), list(hs.events), list(hs.skipped),
         set(hs.points), list(hs.violations), hs.ready,
     )
 
@@ -125,16 +124,18 @@ def test_running_on_a_clone_leaves_the_original_as_it_was(name):
         cut = rng.randrange(len(s.steps))
         marks, _ = _checkpoints(sut, s, {cut})
         hs = marks[cut][0]
-        view = _mutable_view(sut, hs)
+        view = _mutable_view(hs)
+        at_cut = tuple(None if st is None else sut.snapshot(p, st)
+                       for p, st in enumerate(hs.states))
         # Two other tails run on clones; the second meets the first's leavings
         # only if the clone shared something with the original.
         for tail in range(2):
             other = generate_random_schedule(bench.gen_defaults, rng)
             mixed = Schedule(s.steps[:cut] + other.steps[cut:], s.seed)
-            end = execute_schedule(sut, mixed, _copy(sut, marks[cut]))
+            end = execute_schedule(sut, mixed, _copy(marks[cut]))
             assert end == execute_schedule(sut, mixed)
-            changed += end.final_states != tuple(view[0])
-            assert _mutable_view(sut, hs) == view
+            changed += end.final_states != at_cut
+            assert _mutable_view(hs) == view
     assert changed > 300
 
 

@@ -125,16 +125,13 @@ class Checked(TpcBench):
         self.log = []
 
     def oracle_init(self):
-        return super().oracle_init(), {"decided": {}}
+        return {"oracle": super().oracle_init(), "reference": {"decided": {}}}
 
     def oracle_observe(self, ostate, event, states, alive):
-        got = super().oracle_observe(ostate[0], event, states, alive)
-        assert got == reference_observe(self, ostate[1], event, states, alive), event
+        got = super().oracle_observe(ostate["oracle"], event, states, alive)
+        assert got == reference_observe(self, ostate["reference"], event, states, alive), event
         self.log.append((event, got))
         return got
-
-    def clone_oracle(self, ostate):
-        return super().clone_oracle(ostate[0]), {"decided": dict(ostate[1]["decided"])}
 
 
 class Split(Checked):
@@ -186,7 +183,7 @@ def test_oracle_matches_the_rescanning_reference(cls, config):
 def test_a_cloned_oracle_is_independent_of_its_original():
     """Branch runs as the enumeration oracle does, through clone_hs: the
     original and the clone each go on with their own steps, and each
-    matches the reference at every event."""
+    matches the reference at every event and its own run from the start."""
     config = (3, 1, 4)
     params = build_tpc(*config).gen_defaults
     rng = random.Random(9)
@@ -197,11 +194,15 @@ def test_a_cloned_oracle_is_independent_of_its_original():
         cut = len(steps) // 2
         hs = init_state(sut)
         stepper(sut, hs)(steps[:cut], 0)
-        branches = [hs, clone_hs(sut, hs)]
+        branches = [hs, clone_hs(hs)]
         tails = (steps[cut:], generate_random_schedule(params, rng).steps)
         for branch, tail in zip(branches, tails):
             stepper(sut, branch)(tail, cut)
             fired += bool(branch.violations)
+            fresh = Split(*config)
+            alone = init_state(fresh)
+            stepper(fresh, alone)(steps[:cut] + tail, 0)
+            assert (branch.events, branch.violations) == (alone.events, alone.violations)
     assert fired > 100
 
 
