@@ -1,5 +1,6 @@
 """Benchmark registry: a benchmark bundles a system, its model, the table that
-maps the system's events to model actions, and defaults."""
+maps the system's events to model actions, and defaults.  Each builder imports
+its own benchmark module, so only the benchmarks built are imported."""
 
 from __future__ import annotations
 
@@ -8,7 +9,6 @@ from dataclasses import dataclass
 from ..harness import SystemUnderTest
 from ..model import Lts
 from ..schedule import DELIVER, GenParams, Schedule, ScheduleError, validate_schedule
-from . import micro, raftlite, tpc
 
 
 NO_CRASHES = "benchmark {!r} does not tolerate crash schedules"
@@ -50,6 +50,7 @@ def _gen(sut: SystemUnderTest, max_steps: int, max_messages: int, quota: int) ->
 
 def build_micro(m: int = 2, n: int = 5, bug_enabled: bool = True,
                 max_steps: int = 60) -> Benchmark:
+    from . import micro
     sut = micro.MicroBench(m=m, n=n, bug_enabled=bug_enabled)
     return Benchmark("micro", sut, micro.micro_model(m=m, n=n), micro.EVENTS,
                      _gen(sut, max_steps, 1, 0))
@@ -57,6 +58,7 @@ def build_micro(m: int = 2, n: int = 5, bug_enabled: bool = True,
 
 def build_tpc(rm_count: int = 3, var_count: int = 2, request_count: int = 5,
               max_steps: int = 100) -> Benchmark:
+    from . import tpc
     sut = tpc.TpcBench(rm_count=rm_count, var_count=var_count, request_count=request_count)
     return Benchmark("tpc", sut, tpc.tpc_model(rm_count, var_count, request_count),
                      tpc.EVENTS, _gen(sut, max_steps, 5, 0))
@@ -65,6 +67,7 @@ def build_tpc(rm_count: int = 3, var_count: int = 2, request_count: int = 5,
 def build_raftlite(proc_count: int = 3, request_count: int = 2,
                    quorum_bug: bool = False, snapshot_threshold: int = 8,
                    max_steps: int = 100, crash_quota: int = 10) -> Benchmark:
+    from . import raftlite
     sut = raftlite.RaftLiteBench(proc_count=proc_count, request_count=request_count,
                                  quorum_bug=quorum_bug, snapshot_threshold=snapshot_threshold)
     return Benchmark("raftlite", sut, raftlite.raftlite_model(proc_count), raftlite.EVENTS,
@@ -81,27 +84,29 @@ def _strict_bool(v) -> bool:
 
 
 # The one list of benchmarks: name -> (builder, {dotted key: (builder
-# keyword, converter)}).  The builders' keyword defaults are the only defaults.
+# keyword, converter, upper bound or None)}).  The builders' keyword defaults
+# are the only defaults.  The bounds keep a typo such as raft.procs=555 from
+# building a huge benchmark: a build costs O(P^2) in the process count P.
 BENCHMARKS = {
     "micro": (build_micro, {
-        "micro.m": ("m", int),
-        "micro.n": ("n", int),
-        "micro.bug": ("bug_enabled", _strict_bool),
-        "micro.max_steps": ("max_steps", int),
+        "micro.m": ("m", int, 16),
+        "micro.n": ("n", int, 64),
+        "micro.bug": ("bug_enabled", _strict_bool, None),
+        "micro.max_steps": ("max_steps", int, 1000),
     }),
     "tpc": (build_tpc, {
-        "tpc.rm": ("rm_count", int),
-        "tpc.vars": ("var_count", int),
-        "tpc.requests": ("request_count", int),
-        "tpc.max_steps": ("max_steps", int),
+        "tpc.rm": ("rm_count", int, 16),
+        "tpc.vars": ("var_count", int, 64),
+        "tpc.requests": ("request_count", int, 64),
+        "tpc.max_steps": ("max_steps", int, 1000),
     }),
     "raftlite": (build_raftlite, {
-        "raft.procs": ("proc_count", int),
-        "raft.requests": ("request_count", int),
-        "raft.quorum_bug": ("quorum_bug", _strict_bool),
-        "raft.snapshot_threshold": ("snapshot_threshold", int),
-        "raft.max_steps": ("max_steps", int),
-        "raft.crash_quota": ("crash_quota", int),
+        "raft.procs": ("proc_count", int, 15),
+        "raft.requests": ("request_count", int, 64),
+        "raft.quorum_bug": ("quorum_bug", _strict_bool, None),
+        "raft.snapshot_threshold": ("snapshot_threshold", int, 1000),
+        "raft.max_steps": ("max_steps", int, 1000),
+        "raft.crash_quota": ("crash_quota", int, 1000),
     }),
 }
 
@@ -110,7 +115,8 @@ def make_benchmark(name: str, params: dict | None = None) -> Benchmark:
     """Build a benchmark from dotted config keys (micro.m, raft.procs, ...).
 
     Keys not given keep the builder's default.  An unknown key, a key of
-    another benchmark or a value that does not convert raises ValueError.
+    another benchmark, a value that does not convert or a value above its
+    key's bound raises ValueError before anything is built.
     """
     if name not in BENCHMARKS:
         raise ValueError(f"unknown benchmark {name!r} (known: {', '.join(BENCHMARKS)})")
@@ -120,9 +126,11 @@ def make_benchmark(name: str, params: dict | None = None) -> Benchmark:
     for key, value in (params or {}).items():
         if key not in keys:
             raise ValueError(f"unknown parameter {key!r} {known}")
-        arg, convert = keys[key]
+        arg, convert, bound = keys[key]
         try:
             kwargs[arg] = convert(value)
         except (KeyError, TypeError, ValueError):
             raise ValueError(f"bad value {value!r} for parameter {key!r} {known}") from None
+        if bound is not None and kwargs[arg] > bound:
+            raise ValueError(f"value {value!r} for parameter {key!r} is above its bound {bound}")
     return build(**kwargs)

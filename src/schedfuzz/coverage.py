@@ -16,6 +16,7 @@ from .fingerprint import _encoded, digest128, encode_canonical, fingerprint, rem
 from .harness import (
     EV_CRASH,
     EV_DELIVER,
+    EV_INTERNAL,
     EV_RESTART,
     ConcreteEventTrace,
     ExecutionResult,
@@ -46,12 +47,15 @@ class EnumerationExplosion(RuntimeError):
 
 
 def _event_key(ev) -> bytes:
-    """The canonical encoding of an event's identity, memoised per value."""
-    value = (ev.kind, ev.recv, -1 if ev.send is None else ev.send, ev.verb, ev.fields)
+    """The canonical encoding of an event's identity, memoised per value
+    (kind, recv, send, verb, fields): the event's first five fields."""
+    value = ev[:5]
     try:
         return _encoded[value]
     except KeyError:
-        return remember(_encoded, value, encode_canonical(value))
+        kind, recv, send, verb, fields = value
+        return remember(_encoded, value, encode_canonical(
+            (kind, recv, -1 if send is None else send, verb, fields)))
 
 
 def canonical_linearization(events):
@@ -114,7 +118,24 @@ def _linearize(events, keys):
 
 
 def trace_fingerprint(trace: ConcreteEventTrace) -> bytes:
-    """128-bit id of the execution's Mazurkiewicz equivalence class."""
+    """128-bit id of the execution's Mazurkiewicz equivalence class.
+
+    Without a crash or restart, two deliveries depend only when they share a
+    receiver, so the canonical order merges the per-receiver chains, each
+    step emitting the least chain head as _linearize's heap would.  A
+    delivery's key encodes the kind "deliver", then its receiver, and the
+    encoding is prefix-free, so all keys of one chain order against all keys
+    of another as their heads do: the merge emits whole chains, least head
+    first.  Any other trace takes the dependence graph.
+    """
+    chains: dict[int, list] = {}
+    for ev in trace.events:
+        if ev.kind == EV_DELIVER:
+            chains.setdefault(ev.recv, []).append(_event_key(ev))
+        elif ev.kind != EV_INTERNAL:
+            break
+    else:
+        return digest128(b"".join(map(b"".join, sorted(chains.values()))))
     events = [e for e in trace.events if e.kind in (EV_DELIVER, EV_CRASH, EV_RESTART)]
     keys = [_event_key(e) for e in events]
     return digest128(b"".join(keys[i] for i in _linearize(events, keys)))

@@ -53,3 +53,17 @@ def test_bad_params_name_the_key_and_list_the_known_keys(name, params, key):
 def test_unknown_benchmark_is_rejected():
     with pytest.raises(ValueError, match="paxos"):
         make_benchmark("paxos")
+
+
+def test_each_int_parameter_builds_at_its_bound_and_not_above():
+    bounded = 0
+    for name, (_, keys) in BENCHMARKS.items():
+        for key, (_, convert, bound) in keys.items():
+            if bound is None:
+                assert convert is not int, key
+                continue
+            bounded += 1
+            make_benchmark(name, {key: bound})
+            with pytest.raises(ValueError, match=f"{key!r} is above its bound {bound}"):
+                make_benchmark(name, {key: str(bound + 1)})
+    assert bounded == 12

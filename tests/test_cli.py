@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from schedfuzz import cli, fuzzer, stats
-from schedfuzz.benchmarks import make_benchmark
+from schedfuzz.benchmarks import BENCHMARKS, make_benchmark
 from schedfuzz.cli import main
 from schedfuzz.fuzzer import CampaignConfig, fuzz_campaign
 
@@ -210,6 +210,12 @@ BAD_PARAMS = [
     ("tpc", "raft.procs=5", "raft.procs"),         # key of another benchmark
     ("micro", "micro.bug=ture", "micro.bug"),      # malformed bool
     ("raftlite", "raft.procs=five", "raft.procs"), # malformed int
+    # Values above a bound, rejected before anything is built or allocated.
+    ("micro", "micro.m=99999999999999999999", "micro.m"),
+    ("micro", "micro.max_steps=99999999999999999999", "micro.max_steps"),
+    ("tpc", "tpc.vars=99999999999999999999", "tpc.vars"),
+    ("tpc", "tpc.rm=17", "tpc.rm"),
+    ("raftlite", "raft.procs=999999", "raft.procs"),
 ]
 COMMAND_FLAGS = {
     "run": ["--budget", "5"],
@@ -225,6 +231,15 @@ def _no_campaigns(monkeypatch):
 
     monkeypatch.setattr(cli, "fuzz_campaign", fail)
     monkeypatch.setattr(cli, "compare_strategies", fail)
+
+
+def _no_builds(monkeypatch):
+    """Patch every builder to fail: a rejected parameter must reach none."""
+    def fail(**_):
+        raise AssertionError("a benchmark was built despite a bad parameter")
+
+    for name, (_, keys) in list(BENCHMARKS.items()):
+        monkeypatch.setitem(BENCHMARKS, name, (fail, keys))
 
 
 def _command_argv(command, tmp_path):
@@ -248,6 +263,7 @@ def _assert_one_error_line(capsys, code, key):
 def test_bad_param_is_one_error_line(tmp_path, capsys, monkeypatch,
                                      command, bench, param, key):
     _no_campaigns(monkeypatch)
+    _no_builds(monkeypatch)
     argv = _command_argv(command, tmp_path) + ["--bench", bench, "--param", param]
     _assert_one_error_line(capsys, main(argv), key)
     assert not (tmp_path / "out").exists()
@@ -258,6 +274,7 @@ def test_bad_param_is_one_error_line(tmp_path, capsys, monkeypatch,
 def test_bad_config_param_is_one_error_line(tmp_path, capsys, monkeypatch,
                                             command, bench, param, key):
     _no_campaigns(monkeypatch)
+    _no_builds(monkeypatch)
     cfg = tmp_path / "cfg.json"
     k, v = param.split("=")
     cfg.write_text(json.dumps({"bench": bench, "params": {k: v}}))

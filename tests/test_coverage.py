@@ -7,6 +7,7 @@ import pytest
 
 import test_turns
 
+from schedfuzz import coverage
 from schedfuzz import fingerprint as fp_memo
 from schedfuzz.benchmarks import build_micro, build_raftlite, build_tpc
 from schedfuzz.coverage import (
@@ -200,11 +201,13 @@ def _reference_fingerprint(trace):
 
 
 def _random_traces(per_bench=150):
-    """Traces of random schedules on micro, tpc and crash-heavy raftlite."""
-    micro, tpc, raft = build_micro(), build_tpc(), build_raftlite(5, 2)
+    """Traces of random schedules on micro, tpc(3, 2, 3), fault-free raftlite
+    (whose internal events the merge path skips) and crash-heavy raftlite."""
+    micro, tpc, raft = build_micro(), build_tpc(3, 2, 3), build_raftlite(5, 2)
     benches = [
         (micro, micro.gen_defaults),
         (tpc, tpc.gen_defaults),
+        (raft, dataclasses.replace(raft.gen_defaults, crash_quota=0)),
         (raft, dataclasses.replace(raft.gen_defaults, crash_quota=30)),
     ]
     rng = random.Random(5)
@@ -216,14 +219,40 @@ def _random_traces(per_bench=150):
     return traces
 
 
-def test_memoised_trace_fingerprint_matches_reference():
-    traces = _random_traces()
-    assert sum(any(e.kind == "crash" for e in t.events) for t in traces) > 100
+def _with_fresh_kinds(trace):
+    """``trace`` with each event kind an equal string that is not interned,
+    as events read back from JSON carry."""
+    events = tuple(e._replace(kind=e.kind.encode().decode()) for e in trace.events)
+    assert all(a.kind is not b.kind for a, b in zip(events, trace.events))
+    return trace._replace(events=events)
+
+
+def test_memoised_trace_fingerprint_matches_reference(monkeypatch):
+    traces = _random_traces(per_bench=1000)
+    # Random crashes are restarted later in the run; the prefixes before the
+    # first restart hold crashes alone.
+    for t in traces[:]:
+        cut = next((i for i, e in enumerate(t.events) if e.kind == "restart"), 0)
+        if any(e.kind == "crash" for e in t.events[:cut]):
+            traces.append(t._replace(events=t.events[:cut]))
+    kinds = [{e.kind for e in t.events} for t in traces]
+    faulty = sum(bool(k & {"crash", "restart"}) for k in kinds)
+    skips = sum(k == {"deliver", "internal"} for k in kinds)
+    assert faulty > 1500 and len(traces) - faulty > 2500 and skips > 300
+    expected = [_reference_fingerprint(t) for t in traces]
+    # Count the traces that take the dependence graph, not the chain merge.
+    graph = []
+    linearize = coverage._linearize
+    monkeypatch.setattr(coverage, "_linearize",
+                        lambda events, keys: graph.append(1) or linearize(events, keys))
     fp_memo.clear_cache()
-    # First pass fills the memo, second pass reads every key from it.
-    for _ in range(2):
-        for trace in traces:
-            assert trace_fingerprint(trace) == _reference_fingerprint(trace)
+    # The first pass fills the memo, the second reads every key from it, and
+    # the third reads it through kinds that are equal but not identical.
+    for rebuild in (None, None, _with_fresh_kinds):
+        graph.clear()
+        for trace, want in zip(traces, expected):
+            assert trace_fingerprint(rebuild(trace) if rebuild else trace) == want
+        assert len(graph) == faulty
     assert fp_memo._encoded
 
 

@@ -6,13 +6,23 @@ from schedfuzz.benchmarks import build_raftlite
 from schedfuzz.benchmarks.raftlite import (
     ELECTION_SAFETY,
     LEADER,
+    LOG_MATCHING,
+    RaftLiteBench,
     encode_entries,
     parse_entries,
 )
 from schedfuzz.harness import execute_schedule
 from schedfuzz.mapper import map_events
 from schedfuzz.model import run_actions
-from schedfuzz.schedule import BufferId, DELIVER, Schedule, ScheduleStep, generate_random_schedule
+from schedfuzz.schedule import (
+    CRASH,
+    DELIVER,
+    RESTART,
+    BufferId,
+    Schedule,
+    ScheduleStep,
+    generate_random_schedule,
+)
 
 
 def test_quorum_arithmetic_for_small_clusters():
@@ -80,6 +90,52 @@ def test_correct_protocol_has_no_violations_with_crashes():
         s = generate_random_schedule(bench.gen_defaults, rng)
         result = execute_schedule(bench.sut, s)
         assert result.violations == (), result.violations[0]
+
+
+# raftlite(3, 3) with snapshot threshold 1: a leader commits and compacts,
+# then a follower that applied the commits crashes, restarts and catches up.
+# Random schedules seldom get this far.
+COMMIT_COMPACT_RESTART = Schedule(tuple(
+    ScheduleStep(BufferId(a, b), op, count) for a, b, op, count in (
+        (0, 0, DELIVER, 1),                      # 0 times out: candidate of term 1
+        (0, 1, DELIVER, 1),                      # 1 grants its vote
+        (1, 0, DELIVER, 1),                      # 0 wins and announces itself
+        (0, 0, DELIVER, 1), (0, 0, DELIVER, 1),  # 0 serves two requests
+        (0, 1, DELIVER, 3),                      # 1 appends both entries
+        (1, 0, DELIVER, 3),                      # 0 commits 1, compacts it, commits 2
+        (0, 1, DELIVER, 2),                      # 1 learns both commits
+        (1, 1, CRASH, 1), (1, 1, RESTART, 1),
+        (0, 0, DELIVER, 1),                      # 0 serves the third request
+        (0, 1, DELIVER, 1),                      # the restarted 1 appends it
+        (1, 0, DELIVER, 3),                      # 0 commits 3 and compacts again
+        (0, 1, DELIVER, 1),                      # 1 learns commit 3
+    )))
+
+
+class WrongTermOnFollowers(RaftLiteBench):
+    """Mutant: a follower applies committed entries under a wrong term."""
+
+    def _apply_committed(self, st):
+        start = len(st["applied"])
+        super()._apply_committed(st)
+        if st["role"] != LEADER:
+            st["applied"][start:] = [(i, t + 1) for i, t in st["applied"][start:]]
+
+
+def test_commit_compaction_and_restart_path():
+    bench = build_raftlite(3, 3, snapshot_threshold=1)
+    result = execute_schedule(bench.sut, COMMIT_COMPACT_RESTART)
+    assert result.violations == ()
+    assert result.trace.skipped == ()
+    assert {"leader.commit_advance", "ae.commit_advance", "leader.compact",
+            "recover"} <= result.points_hit
+    leader, follower, _ = result.final_states
+    applied = ((1, 1), (2, 1), (3, 1))
+    assert (leader[5], leader[8]) == (3, applied)  # snapshot index, applied
+    assert follower[8] == applied
+    mutant = WrongTermOnFollowers(3, 3, quorum_bug=False, snapshot_threshold=1)
+    bad = execute_schedule(mutant, COMMIT_COMPACT_RESTART)
+    assert bad.violations and {v.description for v in bad.violations} == {LOG_MATCHING}
 
 
 def test_simulation_soundness_raftlite():
