@@ -84,29 +84,30 @@ def _strict_bool(v) -> bool:
 
 
 # The one list of benchmarks: name -> (builder, {dotted key: (builder
-# keyword, converter, upper bound or None)}).  The builders' keyword defaults
-# are the only defaults.  The bounds keep a typo such as raft.procs=555 from
-# building a huge benchmark: a build costs O(P^2) in the process count P.
+# keyword, converter, (lower, upper) bounds or None)}).  The builders' keyword
+# defaults are the only defaults.  The upper bounds keep a typo such as
+# raft.procs=555 from building a huge benchmark: a build costs O(P^2) in the
+# process count P.
 BENCHMARKS = {
     "micro": (build_micro, {
-        "micro.m": ("m", int, 16),
-        "micro.n": ("n", int, 64),
+        "micro.m": ("m", int, (1, 16)),
+        "micro.n": ("n", int, (1, 64)),
         "micro.bug": ("bug_enabled", _strict_bool, None),
-        "micro.max_steps": ("max_steps", int, 1000),
+        "micro.max_steps": ("max_steps", int, (1, 1000)),
     }),
     "tpc": (build_tpc, {
-        "tpc.rm": ("rm_count", int, 16),
-        "tpc.vars": ("var_count", int, 64),
-        "tpc.requests": ("request_count", int, 64),
-        "tpc.max_steps": ("max_steps", int, 1000),
+        "tpc.rm": ("rm_count", int, (1, 16)),
+        "tpc.vars": ("var_count", int, (1, 64)),
+        "tpc.requests": ("request_count", int, (1, 64)),
+        "tpc.max_steps": ("max_steps", int, (1, 1000)),
     }),
     "raftlite": (build_raftlite, {
-        "raft.procs": ("proc_count", int, 15),
-        "raft.requests": ("request_count", int, 64),
+        "raft.procs": ("proc_count", int, (3, 15)),
+        "raft.requests": ("request_count", int, (1, 64)),
         "raft.quorum_bug": ("quorum_bug", _strict_bool, None),
-        "raft.snapshot_threshold": ("snapshot_threshold", int, 1000),
-        "raft.max_steps": ("max_steps", int, 1000),
-        "raft.crash_quota": ("crash_quota", int, 1000),
+        "raft.snapshot_threshold": ("snapshot_threshold", int, (0, 1000)),
+        "raft.max_steps": ("max_steps", int, (1, 1000)),
+        "raft.crash_quota": ("crash_quota", int, (0, 1000)),
     }),
 }
 
@@ -115,8 +116,8 @@ def make_benchmark(name: str, params: dict | None = None) -> Benchmark:
     """Build a benchmark from dotted config keys (micro.m, raft.procs, ...).
 
     Keys not given keep the builder's default.  An unknown key, a key of
-    another benchmark, a value that does not convert or a value above its
-    key's bound raises ValueError before anything is built.
+    another benchmark, a value that does not convert or a value outside its
+    key's bounds raises ValueError before anything is built.
     """
     if name not in BENCHMARKS:
         raise ValueError(f"unknown benchmark {name!r} (known: {', '.join(BENCHMARKS)})")
@@ -126,11 +127,12 @@ def make_benchmark(name: str, params: dict | None = None) -> Benchmark:
     for key, value in (params or {}).items():
         if key not in keys:
             raise ValueError(f"unknown parameter {key!r} {known}")
-        arg, convert, bound = keys[key]
+        arg, convert, bounds = keys[key]
         try:
-            kwargs[arg] = convert(value)
+            v = kwargs[arg] = convert(value)
         except (KeyError, TypeError, ValueError):
             raise ValueError(f"bad value {value!r} for parameter {key!r} {known}") from None
-        if bound is not None and kwargs[arg] > bound:
-            raise ValueError(f"value {value!r} for parameter {key!r} is above its bound {bound}")
+        if bounds is not None and not bounds[0] <= v <= bounds[1]:
+            side, bound = ("below", bounds[0]) if v < bounds[0] else ("above", bounds[1])
+            raise ValueError(f"value {value!r} for parameter {key!r} is {side} its bound {bound}")
     return build(**kwargs)

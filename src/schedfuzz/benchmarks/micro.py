@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from ..harness import AssertionBug, HarnessError, Message, SystemUnderTest, make_message
+from ..harness import AssertionBug, SystemUnderTest, make_message
 from ..mapper import RECV
 from ..model import Lts, MappingContractError, ModelAction
 from ..schedule import BufferId
@@ -27,6 +27,10 @@ NULL_DEREF = "NullDeref: task buffer flushed before final task"
 
 class MicroBench(SystemUnderTest):
     name = "micro"
+    # The master gets Register, Request and Relay, the workers Execute and
+    # Flush, and the terminator Terminate.
+    handlers = {"Register": "_on_register", "Request": "_on_request", "Relay": "_on_relay",
+                "Execute": "_on_execute", "Flush": "_on_flush", "Terminate": "_on_terminate"}
 
     def __init__(self, m: int, n: int, bug_enabled: bool):
         if m < 1 or n < 1:
@@ -51,67 +55,52 @@ class MicroBench(SystemUnderTest):
         states.append({"to_terminate": set()})
         return states, self._inflight
 
-    def handle(self, proc, state, msg: Message, ctx):
-        if proc == self.master:
-            self._handle_master(state, msg, ctx)
-        elif proc == self.terminator:
-            self._handle_terminator(state, msg, ctx)
-        else:
-            self._handle_worker(proc, state, msg, ctx)
+    def _on_register(self, proc, state, msg, ctx):
+        state["registered"].add(msg.field("proc"))
+        ctx.point("am.register")
 
-    def _handle_master(self, state, msg, ctx):
-        if msg.verb == "Register":
-            state["registered"].add(msg.field("proc"))
-            ctx.point("am.register")
-        elif msg.verb == "Request":
-            if len(state["registered"]) == self.m + 1:
-                req = msg.field("req")
-                state["served"].add(req)
-                ctx.point("am.request.served")
-                ctx.send(self.workers[0], "Execute", req=req, idx=1)
-                ctx.send(self.terminator, "Terminate", worker=self.workers[0])
-            else:
-                ctx.point("am.request.dropped")
-        elif msg.verb == "Relay":
-            ctx.point("am.relay")
-            ctx.send(msg.field("worker"), "Execute", req=msg.field("req"), idx=msg.field("idx"))
+    def _on_request(self, proc, state, msg, ctx):
+        if len(state["registered"]) == self.m + 1:
+            req = msg.field("req")
+            state["served"].add(req)
+            ctx.point("am.request.served")
+            ctx.send(self.workers[0], "Execute", req=req, idx=1)
+            ctx.send(self.terminator, "Terminate", worker=self.workers[0])
         else:
-            raise HarnessError(f"master got unexpected {msg.verb}")
+            ctx.point("am.request.dropped")
 
-    def _handle_worker(self, proc, state, msg, ctx):
-        if msg.verb == "Execute":
-            idx = msg.field("idx")
-            if idx < self.n:
-                # Intermediate tasks rebuild the scratch buffer before
-                # running, so only a flush landing after the last of them
-                # leaves the final task exposed.
-                state["buffer_ok"] = True
-                state["progress"] = idx
-                ctx.point("worker.execute")
-                ctx.send(self.master, "Relay", req=msg.field("req"), idx=idx + 1, worker=proc)
-            else:
-                if not state["buffer_ok"]:
-                    if self.bug_enabled:
-                        # runTask(buffer, r) with buffer == null
-                        raise AssertionBug(NULL_DEREF)
-                    ctx.point("worker.execute.flushed")
-                    return
-                state["progress"] = idx
-                ctx.point("worker.chain.done")
-        elif msg.verb == "Flush":
-            state["buffer_ok"] = False
-            ctx.point("worker.flush")
-        else:
-            raise HarnessError(f"worker got unexpected {msg.verb}")
+    def _on_relay(self, proc, state, msg, ctx):
+        ctx.point("am.relay")
+        ctx.send(msg.field("worker"), "Execute", req=msg.field("req"), idx=msg.field("idx"))
 
-    def _handle_terminator(self, state, msg, ctx):
-        if msg.verb == "Terminate":
-            w = msg.field("worker")
-            state["to_terminate"].add(w)
-            ctx.point("term.terminate")
-            ctx.send(w, "Flush")
+    def _on_execute(self, proc, state, msg, ctx):
+        idx = msg.field("idx")
+        if idx < self.n:
+            # Intermediate tasks rebuild the scratch buffer before running,
+            # so only a flush landing after the last of them leaves the
+            # final task exposed.
+            state["buffer_ok"] = True
+            state["progress"] = idx
+            ctx.point("worker.execute")
+            ctx.send(self.master, "Relay", req=msg.field("req"), idx=idx + 1, worker=proc)
+        elif not state["buffer_ok"]:
+            if self.bug_enabled:
+                # runTask(buffer, r) with buffer == null
+                raise AssertionBug(NULL_DEREF)
+            ctx.point("worker.execute.flushed")
         else:
-            raise HarnessError(f"terminator got unexpected {msg.verb}")
+            state["progress"] = idx
+            ctx.point("worker.chain.done")
+
+    def _on_flush(self, proc, state, msg, ctx):
+        state["buffer_ok"] = False
+        ctx.point("worker.flush")
+
+    def _on_terminate(self, proc, state, msg, ctx):
+        w = msg.field("worker")
+        state["to_terminate"].add(w)
+        ctx.point("term.terminate")
+        ctx.send(w, "Flush")
 
     def snapshot(self, proc, state):
         if proc == self.master:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from ..harness import Message, SystemUnderTest, make_message
+from ..harness import SystemUnderTest, make_message
 from ..mapper import RECV
 from ..model import Lts, MappingContractError, ModelAction, _set
 from ..schedule import BufferId
@@ -54,6 +54,9 @@ def parse_entries(text: str) -> tuple:
 class RaftLiteBench(SystemUnderTest):
     name = "raftlite"
     crashes_allowed = True
+    handlers = {"Timeout": "_on_timeout", "RequestVote": "_on_request_vote",
+                "RequestVoteResponse": "_on_vote_response", "AppendEntries": "_on_append",
+                "AppendEntriesResponse": "_on_append_response"}
 
     def __init__(self, proc_count: int, request_count: int,
                  quorum_bug: bool, snapshot_threshold: int):
@@ -72,14 +75,11 @@ class RaftLiteBench(SystemUnderTest):
         )
         self.commit_quorum = proc_count // 2 + 1
         self.extra_buffers = tuple(BufferId(p, p) for p in range(proc_count))
-        self.control_buffers = frozenset(self.extra_buffers)
+        self.control_buffers = dict.fromkeys(self.extra_buffers, TIMEOUT)
         # Per process, every other process in id order.
         self._peers = tuple(
             tuple(q for q in range(proc_count) if q != p) for p in range(proc_count)
         )
-
-    def control_message(self, buf: BufferId) -> Message:
-        return TIMEOUT
 
     def init(self):
         states = [self._fresh_state() for _ in range(self.process_count)]
@@ -111,22 +111,7 @@ class RaftLiteBench(SystemUnderTest):
 
     # -- handlers ----------------------------------------------------------
 
-    def handle(self, proc, st, msg: Message, ctx):
-        verb = msg.verb
-        if verb == "Timeout":
-            self._on_timeout(proc, st, ctx)
-        elif verb == "RequestVote":
-            self._on_request_vote(proc, st, msg, ctx)
-        elif verb == "RequestVoteResponse":
-            self._on_vote_response(proc, st, msg, ctx)
-        elif verb == "AppendEntries":
-            self._on_append(proc, st, msg, ctx)
-        elif verb == "AppendEntriesResponse":
-            self._on_append_response(proc, st, msg, ctx)
-        else:
-            raise ValueError(f"raftlite got unexpected {verb}")
-
-    def _on_timeout(self, proc, st, ctx):
+    def _on_timeout(self, proc, st, msg, ctx):
         if st["role"] != LEADER:
             st["term"] += 1
             st["role"] = CANDIDATE

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from ..harness import HarnessError, Message, SystemUnderTest, make_message
+from ..harness import SystemUnderTest, make_message
 from ..mapper import RECV, SEND
 from ..model import Lts, MappingContractError, ModelAction, _set
 from ..schedule import BufferId
@@ -33,6 +33,9 @@ def tx_vars(tx: int, var_count: int) -> tuple:
 
 class TpcBench(SystemUnderTest):
     name = "tpc"
+    # The TM gets TxRequest and Vote, the RMs Prepare and Decision.
+    handlers = {"TxRequest": "_on_tx_request", "Vote": "_on_vote",
+                "Prepare": "_on_prepare", "Decision": "_on_decision"}
 
     def __init__(self, rm_count: int, var_count: int, request_count: int):
         if rm_count < 1 or var_count < 1 or request_count < 1:
@@ -52,60 +55,49 @@ class TpcBench(SystemUnderTest):
         states += [{"locks": {}, "status": {}} for _ in self.rms]
         return states, [(BufferId(0, 0), msg) for msg in self._requests]
 
-    def handle(self, proc, state, msg: Message, ctx):
-        if proc == self.tm:
-            self._handle_tm(state, msg, ctx)
-        else:
-            self._handle_rm(proc, state, msg, ctx)
+    def _on_tx_request(self, proc, state, msg, ctx):
+        tx = msg.field("tx")
+        state["phase"][tx] = COLLECTING
+        state["yes"][tx] = set()
+        ctx.point("tm.request")
+        ctx.broadcast(self.rms, "Prepare", tx=tx)
 
-    def _handle_tm(self, state, msg, ctx):
-        if msg.verb == "TxRequest":
-            tx = msg.field("tx")
-            state["phase"][tx] = COLLECTING
-            state["yes"][tx] = set()
-            ctx.point("tm.request")
-            ctx.broadcast(self.rms, "Prepare", tx=tx)
-        elif msg.verb == "Vote":
-            f = dict(msg.fields)
-            tx = f["tx"]
-            if state["phase"].get(tx) != COLLECTING:
-                ctx.point("tm.vote.late")
-                return
-            if f["granted"]:
-                state["yes"][tx].add(f["rm"])
-                ctx.point("tm.vote.yes")
-                if len(state["yes"][tx]) == self.rm_count:
-                    state["phase"][tx] = COMMITTED
-                    ctx.point("tm.commit")
-                    ctx.broadcast(self.rms, "Decision", tx=tx, commit=1)
-            else:
-                state["phase"][tx] = ABORTED
-                ctx.point("tm.abort")
-                ctx.broadcast(self.rms, "Decision", tx=tx, commit=0)
+    def _on_vote(self, proc, state, msg, ctx):
+        f = dict(msg.fields)
+        tx = f["tx"]
+        if state["phase"].get(tx) != COLLECTING:
+            ctx.point("tm.vote.late")
+        elif f["granted"]:
+            state["yes"][tx].add(f["rm"])
+            ctx.point("tm.vote.yes")
+            if len(state["yes"][tx]) == self.rm_count:
+                state["phase"][tx] = COMMITTED
+                ctx.point("tm.commit")
+                ctx.broadcast(self.rms, "Decision", tx=tx, commit=1)
         else:
-            raise HarnessError(f"TM got unexpected {msg.verb}")
+            state["phase"][tx] = ABORTED
+            ctx.point("tm.abort")
+            ctx.broadcast(self.rms, "Decision", tx=tx, commit=0)
 
-    def _handle_rm(self, proc, state, msg, ctx):
-        if msg.verb == "Prepare":
-            tx = msg.field("tx")
-            lo, hi = self._vars[tx]
-            locks = state["locks"]
-            if lo in locks or hi in locks:
-                state["status"][tx] = REFUSED
-                ctx.point("rm.vote.refuse")
-                ctx.send(self.tm, "Vote", tx=tx, granted=0, rm=proc)
-            else:
-                locks[lo] = locks[hi] = tx
-                state["status"][tx] = PREPARED
-                ctx.point("rm.vote.grant")
-                ctx.send(self.tm, "Vote", tx=tx, granted=1, rm=proc)
-        elif msg.verb == "Decision":
-            tx = msg.field("tx")
-            state["status"][tx] = COMMITTED if msg.field("commit") else ABORTED
-            state["locks"] = {v: o for v, o in state["locks"].items() if o != tx}
-            ctx.point("rm.decision")
+    def _on_prepare(self, proc, state, msg, ctx):
+        tx = msg.field("tx")
+        lo, hi = self._vars[tx]
+        locks = state["locks"]
+        if lo in locks or hi in locks:
+            state["status"][tx] = REFUSED
+            ctx.point("rm.vote.refuse")
+            ctx.send(self.tm, "Vote", tx=tx, granted=0, rm=proc)
         else:
-            raise HarnessError(f"RM got unexpected {msg.verb}")
+            locks[lo] = locks[hi] = tx
+            state["status"][tx] = PREPARED
+            ctx.point("rm.vote.grant")
+            ctx.send(self.tm, "Vote", tx=tx, granted=1, rm=proc)
+
+    def _on_decision(self, proc, state, msg, ctx):
+        tx = msg.field("tx")
+        state["status"][tx] = COMMITTED if msg.field("commit") else ABORTED
+        state["locks"] = {v: o for v, o in state["locks"].items() if o != tx}
+        ctx.point("rm.decision")
 
     def snapshot(self, proc, state):
         if proc == self.tm:

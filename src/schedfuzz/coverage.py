@@ -179,10 +179,8 @@ def assess(notion: str, exec_result: ExecutionResult) -> frozenset:
 # --- exhaustive ordering enumeration (oracle for small instances) ----------
 
 class OrderingRecord(NamedTuple):
-    deliveries: tuple       # (sender, receiver, verb) per delivery, in order
     trace_fp: bytes
     state_fps: frozenset    # model states visited by this ordering
-    violation_keys: tuple
     events: tuple = ()      # full trace events, kept only on request
 
 
@@ -229,8 +227,7 @@ def enumerate_orderings(bench, max_depth: int,
         trace = ConcreteEventTrace(tuple(hs.events), ())
         run = run_actions(lts, map_events(bench, trace))
         records.append(OrderingRecord(
-            tuple((e.send, e.recv, e.verb) for e in trace.events if e.kind == EV_DELIVER),
-            trace_fingerprint(trace), frozenset(fingerprint(s) for s in run.path), keys,
+            trace_fingerprint(trace), frozenset(fingerprint(s) for s in run.path),
             trace.events if keep_events else ()))
 
     walk(init_state(sut), 0)

@@ -104,10 +104,14 @@ class ReadyBits(NamedTuple):
 class SystemUnderTest:
     """Contract every benchmark implements.
 
-    Handlers must be deterministic functions of (local state, message); they
-    talk to the world only through the HandlerContext passed in.  A system
-    that tolerates crashes sets ``crashes_allowed`` and overrides
-    ``persistent_state`` and ``recover``.
+    ``handlers`` maps each verb the system receives to the name of the method
+    that handles it, and ``handle`` dispatches by that name, so a subclass
+    that overrides one handler takes effect.  ``control_buffers`` maps each
+    control buffer to the message every deliver on it yields.  Handlers must
+    be deterministic functions of (local state, message); they talk to the
+    world only through the HandlerContext passed in.  A system that tolerates
+    crashes sets ``crashes_allowed`` and overrides ``persistent_state`` and
+    ``recover``.
 
     The harness copies every process state, oracle state and persisted part
     with ``copy_state``, so each must be built from dicts, nested to any
@@ -118,8 +122,9 @@ class SystemUnderTest:
     name: str = "?"
     process_count: int = 0
     crashes_allowed: bool = False
-    # Perpetual control channels: never empty, each pop yields control_message().
-    control_buffers: frozenset = frozenset()
+    handlers: dict = {}  # verb -> the name of the method that handles it
+    # Perpetual control channels, never empty: BufferId -> the message each yields.
+    control_buffers: dict = {}
     # Channels beyond the ordinary sender != receiver pairs (e.g. client or
     # timeout channels); these join the random generator's buffer universe.
     extra_buffers: tuple = ()
@@ -129,10 +134,12 @@ class SystemUnderTest:
         raise NotImplementedError
 
     def handle(self, proc: int, state, msg: Message, ctx: "HandlerContext") -> None:
-        raise NotImplementedError
-
-    def control_message(self, buf: BufferId) -> Message:
-        raise NotImplementedError
+        """Run the method that ``handlers`` names for ``msg.verb``."""
+        try:
+            name = self.handlers[msg.verb]
+        except KeyError:
+            raise HarnessError(f"{self.name} benchmark has no handler for {msg.verb}") from None
+        getattr(self, name)(proc, state, msg, ctx)
 
     def persistent_state(self, proc: int, state):
         """The part of a process state that survives a crash (by default none:
@@ -304,13 +311,13 @@ def stepper(sut: SystemUnderTest, hs: HarnessState, record=None):
     A deliver acts only if its buffer's bit is set in ``hs.ready``, a crash only
     on a live process and a restart only on a dead one; any other step is
     skipped.  A deliver runs one turn per message, up to its count and while
-    the bit stays set; a control buffer never empties, so it gives one message.
+    the bit stays set; a control buffer never empties and gives its message once.
     The system's methods are looked up once per run, so a class patched
     between runs takes effect.  Every turn shares one context, whose points
     land straight in ``hs.points``.
     """
-    handle, recover, observe, control_message = (
-        sut.handle, sut.recover, sut.oracle_observe, sut.control_message)
+    handle, recover, observe, control_buffers = (
+        sut.handle, sut.recover, sut.oracle_observe, sut.control_buffers)
     bit, receives, control, outbound = sut.ready_bits
     states, alive, buffers, persisted, events, skipped, violations, oracle = (
         hs.states, hs.alive, hs.buffers, hs.persisted, hs.events, hs.skipped,
@@ -380,7 +387,7 @@ def stepper(sut: SystemUnderTest, hs: HarnessState, record=None):
                 if not hs.ready & b:
                     skipped.append(idx)
                 elif b & control:
-                    turn(idx, proc, buf.sender, control_message(buf))
+                    turn(idx, proc, buf.sender, control_buffers[buf])
                 else:
                     q = buffers[buf]
                     for _ in range(count):

@@ -1,6 +1,10 @@
+import copy
+
 import pytest
 
 from schedfuzz.benchmarks import BENCHMARKS, make_benchmark
+from schedfuzz.harness import HarnessError, execute_schedule, make_message
+from schedfuzz.schedule import DELIVER, BufferId, Schedule, ScheduleStep
 
 
 def test_defaults_without_params():
@@ -55,15 +59,47 @@ def test_unknown_benchmark_is_rejected():
         make_benchmark("paxos")
 
 
-def test_each_int_parameter_builds_at_its_bound_and_not_above():
+def test_each_int_parameter_builds_at_its_bounds_and_not_outside():
     bounded = 0
     for name, (_, keys) in BENCHMARKS.items():
-        for key, (_, convert, bound) in keys.items():
-            if bound is None:
+        for key, (_, convert, bounds) in keys.items():
+            if bounds is None:
                 assert convert is not int, key
                 continue
             bounded += 1
-            make_benchmark(name, {key: bound})
-            with pytest.raises(ValueError, match=f"{key!r} is above its bound {bound}"):
-                make_benchmark(name, {key: str(bound + 1)})
+            lo, hi = bounds
+            make_benchmark(name, {key: lo})
+            make_benchmark(name, {key: hi})
+            with pytest.raises(ValueError, match=f"{key!r} is below its bound {lo}"):
+                make_benchmark(name, {key: str(lo - 1)})
+            with pytest.raises(ValueError, match=f"{key!r} is above its bound {hi}"):
+                make_benchmark(name, {key: str(hi + 1)})
     assert bounded == 12
+
+
+@pytest.mark.parametrize("name", list(BENCHMARKS))
+def test_each_handled_verb_names_a_method_and_maps_to_an_action(name):
+    bench = make_benchmark(name)
+    for verb, method in bench.sut.handlers.items():
+        assert callable(getattr(bench.sut, method, None)), (verb, method)
+    # A delivered message can always be mapped to a model action.
+    assert set(bench.sut.handlers) <= set(bench.events)
+
+
+@pytest.mark.parametrize("name", list(BENCHMARKS))
+def test_a_message_with_an_unregistered_verb_is_a_harness_error(name):
+    """No benchmark handles Bogus: that is a fault of the system, not a bug
+    its handlers can be blamed for."""
+    sut = make_benchmark(name).sut
+
+    class Placed(type(sut)):
+        def init(self):
+            states, inflight = super().init()
+            return states, [(BufferId(1, 0), make_message("Bogus")), *inflight]
+
+    placed = copy.copy(sut)
+    placed.__class__ = Placed
+    s = Schedule(steps=(ScheduleStep(BufferId(1, 0), DELIVER, 1),))
+    with pytest.raises(HarnessError) as e:
+        execute_schedule(placed, s)
+    assert str(e.value) == f"{name} benchmark has no handler for Bogus"

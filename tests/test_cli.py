@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -216,6 +219,11 @@ BAD_PARAMS = [
     ("tpc", "tpc.vars=99999999999999999999", "tpc.vars"),
     ("tpc", "tpc.rm=17", "tpc.rm"),
     ("raftlite", "raft.procs=999999", "raft.procs"),
+    # Values below a bound, which would otherwise reach the schedule generator
+    # only after --out is made (or, on replay, read as an over-quota schedule).
+    ("raftlite", "raft.crash_quota=-1", "raft.crash_quota"),
+    ("micro", "micro.max_steps=0", "micro.max_steps"),
+    ("tpc", "tpc.max_steps=0", "tpc.max_steps"),
 ]
 COMMAND_FLAGS = {
     "run": ["--budget", "5"],
@@ -533,3 +541,24 @@ def test_replay_rejects_a_seed_that_is_no_integer(tmp_path, capsys):
     err = cap.err.splitlines()
     assert code == 2 and not cap.out
     assert len(err) == 1 and err[0].startswith("error: malformed schedule seed")
+
+
+def test_python_dash_m_exits_with_the_code_main_returns(tmp_path):
+    """``python -m schedfuzz`` as the shell starts it: a good run exits 0, and
+    a bad parameter exits 2 with one error line and no output directory."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "schedfuzz", "run", "--bench", "micro",
+                               "--budget", "5", *argv], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=60)
+
+    ok = run("--out", str(tmp_path / "ok"))
+    assert ok.returncode == 0, ok.stderr
+    bad = run("--param", "micro.m=0", "--out", str(tmp_path / "bad"))
+    assert bad.returncode == 2
+    err = bad.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not (tmp_path / "bad").exists()

@@ -366,10 +366,11 @@ def test_cut_branches_count_against_the_enumeration_limit():
 
 
 def reference_orderings(bench, max_depth: int) -> tuple:
-    """enumerate_orderings' records as first written: the moves are the
-    buffers that hold a message for a live receiver, rescanned from
-    ``hs.buffers``, and test_turns' reference ``_deliver`` makes each move."""
-    sut, records = bench.sut, []
+    """enumerate_orderings' records and violation keys as first written: the
+    moves are the buffers that hold a message for a live receiver, rescanned
+    from ``hs.buffers``, and test_turns' reference ``_deliver`` makes each
+    move; a branch cut at ``max_depth`` surfaces its violations too."""
+    sut, records, keys = bench.sut, [], set()
 
     def walk(hs, depth):
         options = sorted(b for b, q in hs.buffers.items() if q and b.receiver in hs.alive)
@@ -377,17 +378,18 @@ def reference_orderings(bench, max_depth: int) -> tuple:
             trace = ConcreteEventTrace(tuple(hs.events), ())
             run = run_actions(bench.lts, map_events(bench, trace))
             records.append(OrderingRecord(
-                tuple((e.send, e.recv, e.verb) for e in trace.events if e.kind == "deliver"),
                 trace_fingerprint(trace), frozenset(fingerprint(s) for s in run.path),
-                tuple(v.key for v in hs.violations), trace.events))
+                trace.events))
         elif depth < max_depth:
             for buf in options:
                 child = clone_hs(hs)
                 test_turns._deliver(sut, child, depth, buf, 1)
                 walk(child, depth + 1)
+            return
+        keys.update(v.key for v in hs.violations)
 
     walk(init_state(sut), 0)
-    return tuple(records)
+    return tuple(records), frozenset(keys)
 
 
 @pytest.mark.parametrize("make, depth", [
@@ -401,7 +403,7 @@ def reference_orderings(bench, max_depth: int) -> tuple:
 def test_enumeration_matches_the_buffer_rescan_reference(make, depth):
     bench = make()
     res = enumerate_orderings(bench, max_depth=depth, keep_events=True)
-    assert res.records == reference_orderings(bench, depth)
+    assert (res.records, res.violation_keys) == reference_orderings(bench, depth)
     assert res.orderings == len(res.records) > 0
 
 

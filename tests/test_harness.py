@@ -288,7 +288,7 @@ class Looped(PingPong):
     ball over that buffer, or finds its ball there from the start."""
 
     extra_buffers = (BufferId(1, 1),)
-    control_buffers = frozenset(extra_buffers)
+    control_buffers = dict.fromkeys(extra_buffers, make_message("Tick"))
 
     def __init__(self, placed=False, broadcast=False):
         super().__init__(balls=1)
@@ -297,9 +297,6 @@ class Looped(PingPong):
     def init(self):
         states, inflight = super().init()
         return states, [(BufferId(1, 1), m) for _, m in inflight] if self.placed else inflight
-
-    def control_message(self, buf):
-        return make_message("Tick")
 
     def handle(self, proc, state, msg, ctx):
         if proc == 1 and self.broadcast:

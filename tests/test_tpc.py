@@ -138,10 +138,8 @@ class Split(Checked):
     """RM 1 applies each decision inverted, so a transaction commits at one RM
     and aborts at another; RM 2 re-decides each earlier commit as an abort."""
 
-    def _handle_rm(self, proc, state, msg, ctx):
-        super()._handle_rm(proc, state, msg, ctx)
-        if msg.verb != "Decision":
-            return
+    def _on_decision(self, proc, state, msg, ctx):
+        super()._on_decision(proc, state, msg, ctx)
         tx, status = msg.field("tx"), state["status"]
         if proc == 1:
             status[tx] = ABORTED if status[tx] == COMMITTED else COMMITTED

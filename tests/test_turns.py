@@ -166,7 +166,7 @@ def _deliver(sut, hs, idx, buf, count) -> None:
     if buf in sut.control_buffers:
         # A control channel always holds exactly one pending message (it
         # regenerates after delivery), so a deliver step pops min(k, 1) = 1.
-        _run_handler(sut, hs, idx, receiver, buf.sender, sut.control_message(buf))
+        _run_handler(sut, hs, idx, receiver, buf.sender, sut.control_buffers[buf])
         return
     q = hs.buffers.get(buf)
     if not q:
@@ -227,15 +227,12 @@ class Chaos(SystemUnderTest):
     process_count = 4
     crashes_allowed = True
     extra_buffers = (BufferId(0, 0),)
-    control_buffers = frozenset(extra_buffers)
+    control_buffers = dict.fromkeys(extra_buffers, make_message("Tick"))
 
     def init(self):
         states = [{"n": 0} for _ in range(4)]
         inflight = [(BufferId(p, (p + 1) % 4), make_message("Ping", v=p)) for p in range(4)]
         return states, inflight
-
-    def control_message(self, buf):
-        return make_message("Tick")
 
     def _others(self, proc):
         return [q for q in range(4) if q != proc]
