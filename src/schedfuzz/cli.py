@@ -209,15 +209,14 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     notions = tuple(n.strip() for n in args.notions.split(",") if n.strip())
-    get_benchmark(args)  # a bad name or parameter fails before any campaign runs
-    out_dir = args.out
-    out_dir.mkdir(parents=True, exist_ok=True)
-    result = compare_strategies(
-        CompareConfig(benchmark_factory=lambda: get_benchmark(args), notions=notions,
-                      runs=args.runs, **campaign_settings(args))
-    )
+    config = CompareConfig(benchmark_factory=lambda: get_benchmark(args), notions=notions,
+                           runs=args.runs, **campaign_settings(args))
+    # A bad name, parameter or setting fails before --out is made.
+    CampaignConfig(benchmark=get_benchmark(args), notion=notions[0], **campaign_settings(args))
+    args.out.mkdir(parents=True, exist_ok=True)
+    result = compare_strategies(config)
     for (notion, run), timeline in sorted(result.timelines.items()):
-        write_timeline_csv(out_dir / f"{notion}_run{run}.csv", timeline)
+        write_timeline_csv(args.out / f"{notion}_run{run}.csv", timeline)
     tables = {
         "notions": list(notions),
         "runs": args.runs,
@@ -228,7 +227,7 @@ def cmd_compare(args) -> int:
         "find_count": result.find_count,
         "pairwise": {f"{a}|{b}": v for (a, b), v in result.pairwise.items()},
     }
-    (out_dir / "stats.json").write_text(json.dumps(tables, indent=2))
+    (args.out / "stats.json").write_text(json.dumps(tables, indent=2))
     print(json.dumps(tables, indent=2))
     return 0
 

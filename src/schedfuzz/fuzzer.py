@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from .benchmarks import NO_CRASHES, Benchmark
 from .coverage import MODEL, NOTIONS, assess, model_state_items
-from .harness import EV_DELIVER, ExecutionResult, ReadyBits, clone_hs, execute_schedule
+from .harness import EV_DELIVER, ExecutionResult, ReadyBits, RunMemo, clone_hs, execute_schedule
 from .mapper import map_events
 from .model import run_actions
 from .schedule import (
@@ -335,6 +335,7 @@ def fuzz_campaign(config: CampaignConfig) -> CampaignResult:
     # mutants.  Only mutants are looked up: a mutant keeps its parent's seed,
     # while every fresh schedule draws a new 64-bit one.
     executed: dict = {}
+    memo = RunMemo(bench.sut)
     next_id = 0
     unqueued = 0  # spawned mutants that could never be dequeued
     deadline = (
@@ -404,17 +405,22 @@ def fuzz_campaign(config: CampaignConfig) -> CampaignResult:
                     if any(x >= c for x in later):
                         held[c], start = start, (clone_hs(hs), ready, model)
                 marks = {x: None for x in later if c < x <= d}
-        exec_result = execute_schedule(bench.sut, schedule, start, marks)
+        # A run from the start without checkpoints may be answered by the memo.
+        hit = memo.get(schedule) if start is None and not marks else None
+        exec_result, (state_items, unmatched) = hit or (
+            execute_schedule(bench.sut, schedule, start, marks), (None, 0))
         # The event index of each new checkpoint, and the model's triple there.
         at = {len(hs.events): None for hs, _ in marks.values()} if marks else None
-        unmatched = 0
         if need_model:
-            state_items, unmatched = walk_model(bench, exec_result.trace, resume, at)
+            if hit is None:
+                state_items, unmatched = walk_model(bench, exec_result.trace, resume, at)
             result.unmatched_actions += unmatched
             states |= state_items
         if marks:
             held.update((x, (hs, ready, at[len(hs.events)]))
                         for x, (hs, ready) in marks.items())
+        elif start is None and hit is None:
+            memo.put(schedule, exec_result, (state_items, unmatched))
         # The model notion's coverage items are the state items just computed.
         items = (state_items if config.notion == MODEL
                  else assess(config.notion, exec_result))

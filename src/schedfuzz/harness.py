@@ -419,6 +419,74 @@ def stepper(sut: SystemUnderTest, hs: HarnessState, record=None):
     return run
 
 
+class RunMemo:
+    """Fault-free runs from the start in a trie keyed by the steps that acted (a
+    deliver acts iff its buffer's bit is set in ``ready``; a skipped step changes
+    nothing; a crash or restart step bypasses the memo).  Node: [ready after its
+    step, its events' ev[:5], its violations' (kind, description), (points_hit,
+    final_states, extra) where a run ended, {step: child}], 0.9-1.4 KB.  Emptied
+    at LIMIT nodes; off once PROBES lookups have hit under 1 in RATE times."""
+
+    LIMIT, PROBES, RATE = 1 << 12, 64, 8
+
+    def __init__(self, sut: SystemUnderTest):
+        self.bit, self.limit, self.step_bit = sut.ready_bits.bit, self.LIMIT, {}
+        self.root, self.nodes, self.lookups, self.hits = None, 0, 0, 0
+
+    def get(self, schedule: Schedule):
+        """``(execute_schedule(sut, schedule), extra)`` as ``put`` got them, or None."""
+        if self.root is None:
+            return None
+        steps, step_bit = schedule.steps, self.step_bit
+        try:  # step_bit: step -> its buffer's bit (0 for none), None for a crash or restart
+            bits = list(map(step_bit.__getitem__, steps))
+        except KeyError:  # a step new to the memo
+            step_bit.update((st, self.bit.get(st.buffer, 0) if st.op == DELIVER else None)
+                            for st in steps)
+            bits = list(map(step_bit.__getitem__, steps))
+        if None in bits:
+            return None
+        self.lookups += 1
+        node, mask = self.root, self.root[0]
+        events, violations, skipped, ready = [], [], [], [mask]
+        for idx, b in enumerate(bits):
+            if mask & b:
+                node = node[4].get(steps[idx])
+                if node is None:
+                    break
+                mask = node[0]
+                events += [ConcreteEvent(*ev, idx) for ev in node[1]]
+                violations += [Violation(*v, idx) for v in node[2]]
+            else:
+                skipped.append(idx)
+            ready.append(mask)
+        if node is None or node[3] is None:
+            if self.lookups >= self.PROBES and self.hits * self.RATE < self.lookups:
+                self.root, self.limit = None, 0
+            return None
+        self.hits += 1
+        points, final, extra = node[3]
+        trace = ConcreteEventTrace(tuple(events), tuple(skipped))
+        return ExecutionResult(trace, points, tuple(violations), final, tuple(ready)), extra
+
+    def put(self, schedule: Schedule, result: ExecutionResult, extra) -> None:
+        """Store ``result``, ``execute_schedule(sut, schedule)``, and ``extra``."""
+        if not self.limit or any(st.op != DELIVER for st in schedule.steps):
+            return
+        if self.root is None or self.nodes >= self.limit:
+            self.root, self.nodes = [result.ready[0], (), (), None, {}], 1
+        node, of_step = self.root, {}  # step index -> ([its ev[:5]s], [its (kind, description)s])
+        for x in (*result.trace.events, *result.violations):
+            of_step.setdefault(x.step, ([], []))[type(x) is Violation].append(x[:-1])
+        for idx, (evs, vs) in sorted(of_step.items()):  # every acting step has an event
+            step = schedule.steps[idx]
+            if step not in node[4]:
+                self.nodes += 1
+                node[4][step] = [result.ready[idx + 1], tuple(evs), tuple(vs), None, {}]
+            node = node[4][step]
+        node[3] = (result.points_hit, result.final_states, extra)
+
+
 def _kill(sut, hs, proc) -> None:
     """Mark a process dead, preserving only its persistent part."""
     hs.persisted[proc] = sut.persistent_state(proc, hs.states[proc])

@@ -42,6 +42,11 @@ class Schedule:
     def __len__(self) -> int:
         return len(self.steps)
 
+    def __hash__(self) -> int:  # the dataclass's hash, computed once per object
+        if "_hash" not in self.__dict__:
+            self.__dict__["_hash"] = hash((self.steps, self.seed))
+        return self.__dict__["_hash"]
+
 
 @dataclass(frozen=True)
 class GenParams:

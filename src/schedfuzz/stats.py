@@ -106,6 +106,15 @@ class CompareConfig:
     track_states: bool = True
     stop_on_bug: str | None = None
 
+    def __post_init__(self):  # a setting no comparison can run with fails before any does
+        if self.runs < 2:
+            raise ValueError("need at least 2 runs to compare")
+        if not self.notions or len(set(self.notions)) < len(self.notions):
+            raise ValueError(f"need distinct notions to compare, got {list(self.notions)}")
+        for n in self.notions:
+            if n not in NOTIONS:
+                raise ValueError(f"unknown notion {n!r}")
+
 
 @dataclass
 class ComparisonResult:
@@ -131,13 +140,6 @@ class ComparisonResult:
 
 def compare_strategies(config: CompareConfig) -> ComparisonResult:
     """Run every notion `runs` times on independent derived seeds."""
-    if config.runs < 2:
-        raise ValueError("need at least 2 runs to compare")
-    if not config.notions or len(set(config.notions)) < len(config.notions):
-        raise ValueError(f"need distinct notions to compare, got {list(config.notions)}")
-    for n in config.notions:
-        if n not in NOTIONS:
-            raise ValueError(f"unknown notion {n!r}")
     out = ComparisonResult(tuple(config.notions), config.runs, config.budget)
     for notion in config.notions:
         states_v, cov_v, bug_v = [], [], []

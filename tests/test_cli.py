@@ -11,6 +11,7 @@ from schedfuzz import cli, fuzzer, stats
 from schedfuzz.benchmarks import BENCHMARKS, make_benchmark
 from schedfuzz.cli import main
 from schedfuzz.fuzzer import CampaignConfig, fuzz_campaign
+from schedfuzz.harness import RunMemo
 
 
 def run_cli(capsys, *argv):
@@ -69,20 +70,28 @@ def test_run_writes_outputs(tmp_path, capsys):
 
 
 def test_run_summary_counts_the_repeats(tmp_path, capsys, monkeypatch):
-    runs = []
+    runs, hits = [], []
 
     def counting(sut, schedule, *resume):
         runs.append(schedule)
         return execute(sut, schedule, *resume)
 
-    execute = fuzzer.execute_schedule
+    def counting_get(memo, schedule):
+        out = get(memo, schedule)
+        if out is not None:
+            hits.append(schedule)
+        return out
+
+    execute, get = fuzzer.execute_schedule, RunMemo.get
     monkeypatch.setattr(fuzzer, "execute_schedule", counting)
+    monkeypatch.setattr(RunMemo, "get", counting_get)
     code, out = run_cli(capsys, "run", "--bench", "micro", "--budget", "300",
                         "--seed", "3", "--out", str(tmp_path / "o"))
     assert code == 0
     summary = json.loads(out)
-    assert summary["repeats"] > 0
-    assert summary["iterations"] - summary["repeats"] == len(runs)
+    assert summary["repeats"] > 0 and hits
+    # Every other iteration is executed or answered by the run memo.
+    assert summary["iterations"] - summary["repeats"] == len(runs) + len(hits)
 
 
 def test_run_summary_reports_the_unmatched_actions(tmp_path, capsys, monkeypatch):
@@ -296,6 +305,7 @@ BAD_SETTINGS = [
     ("run", ["--budget-seconds", "0"], "budget seconds"),
     ("run", ["--energy", "-1"], "energy"),
     ("compare", ["--energy", "-1"], "energy"),
+    ("compare", ["--runs", "1"], "at least 2 runs"),
     # "" is in every bug key, yet falsy: it never stopped a campaign.
     ("run", ["--stop-on-bug", ""], "stop on bug"),
     ("compare", ["--stop-on-bug", ""], "stop on bug"),
@@ -315,7 +325,7 @@ def test_bad_campaign_setting_is_one_error_line(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err.splitlines()
     assert code == 2
     assert len(err) == 1 and err[0].startswith("error:") and words in err[0]
-    assert not list((tmp_path / "out").glob("*"))
+    assert not (tmp_path / "out").exists()
 
 
 def test_a_negative_snapshot_threshold_is_one_error_line(tmp_path, capsys, monkeypatch):

@@ -1,0 +1,183 @@
+"""The run memo against the harness it stands in for.
+
+``harness.RunMemo`` answers a fault-free run from the start whose acting steps
+were run before.  The reference is ``execute_schedule``: every answer must
+equal its result, on fresh schedules and on schedules that repeat an earlier
+run's acting steps, and the memo must answer no schedule with a crash or
+restart step.  A campaign must not change when the memo never answers.
+"""
+
+import random
+from collections import Counter
+
+import pytest
+
+from schedfuzz.benchmarks import build_micro, build_raftlite, build_tpc
+from schedfuzz.fuzzer import AUTO, CampaignConfig, fuzz_campaign, mutate
+from schedfuzz.harness import RunMemo, execute_schedule
+from schedfuzz.schedule import DELIVER, Schedule, generate_random_schedule
+
+BENCHES = {
+    "micro": lambda: build_micro(2, 5, True),
+    "tpc": lambda: build_tpc(3, 2, 3),
+    "raftlite": lambda: build_raftlite(5, 2, quorum_bug=True, crash_quota=0),
+    "raftlite-crashes": lambda: build_raftlite(5, 2, quorum_bug=True),
+}
+
+
+def _acting(schedule, run):
+    """The steps of ``schedule`` that acted in ``run``: what the memo keys on."""
+    skipped = set(run.trace.skipped)
+    return tuple(st for i, st in enumerate(schedule.steps) if i not in skipped)
+
+
+def _respaced(rng, bench, schedule, run):
+    """A schedule with ``run``'s acting steps but other skipped steps: each
+    skipped step gets a random count, or a buffer not deliverable there."""
+    bit = bench.sut.ready_bits.bit
+    universe = bench.gen_defaults.buffer_universe()
+    steps = list(schedule.steps)
+    for i in run.trace.skipped:
+        idle = [b for b in universe if not run.ready[i] & bit.get(b, 0)]
+        top = bench.gen_defaults.max_messages_per_step
+        steps[i] = steps[i]._replace(buffer=rng.choice(idle or [steps[i].buffer]),
+                                     count=rng.randint(1, top))
+    return Schedule(tuple(steps), schedule.seed)
+
+
+def _recounted(rng, bench, schedule, run):
+    """``schedule`` with another count at one of the steps that acted: the
+    same buffers act at first, with other numbers of messages."""
+    skipped = set(run.trace.skipped)
+    acted = [i for i in range(len(schedule.steps)) if i not in skipped]
+    steps = list(schedule.steps)
+    if acted:
+        i = rng.choice(acted)
+        top = bench.gen_defaults.max_messages_per_step
+        steps[i] = steps[i]._replace(count=rng.choice(
+            [c for c in range(1, top + 1) if c != steps[i].count] or [steps[i].count]))
+    return Schedule(tuple(steps), schedule.seed)
+
+
+def _schedules(rng, bench, n):
+    """Fresh schedules, mutants, respaced and recounted ones, and repeats."""
+    sut, gen, done = bench.sut, bench.gen_defaults, []
+    for k in range(n):
+        if not done or k % 5 == 0:
+            s = generate_random_schedule(gen, rng)
+        else:
+            prev, run = rng.choice(done)
+            s = [prev, mutate(prev, AUTO, rng, num_processes=sut.process_count),
+                 _respaced(rng, bench, prev, run), _recounted(rng, bench, prev, run),
+                 _respaced(rng, bench, prev, run)][k % 5]
+        done.append((s, execute_schedule(sut, s)))
+    return done
+
+
+@pytest.mark.parametrize("name", list(BENCHES))
+def test_memo_answers_exactly_as_the_harness_runs(monkeypatch, name):
+    monkeypatch.setattr(RunMemo, "PROBES", 10**9)  # never switches off here
+    bench = BENCHES[name]()
+    memo = RunMemo(bench.sut)
+    outcomes = Counter()
+    for s, run in _schedules(random.Random(41), bench, 600):
+        faulty = any(st.op != DELIVER for st in s.steps)
+        got = memo.get(s)
+        if got is not None:
+            assert got == (run, _acting(s, run))
+            outcomes["hit"] += 1
+            continue
+        memo.put(s, run, _acting(s, run))
+        if faulty:
+            assert memo.get(s) is None and memo.nodes == 0
+            outcomes["fault"] += 1
+        else:
+            assert memo.get(s) == (run, _acting(s, run))
+            outcomes["put"] += 1
+    if name == "raftlite-crashes":
+        assert outcomes["fault"] > 500, outcomes
+    else:
+        assert min(outcomes["hit"], outcomes["put"]) > 40, outcomes
+
+
+def _tpc_runs(n, seed=43):
+    bench = BENCHES["tpc"]()
+    rng = random.Random(seed)
+    return bench, [(s, execute_schedule(bench.sut, s))
+                   for s in (generate_random_schedule(bench.gen_defaults, rng) for _ in range(n))]
+
+
+def test_memo_switches_off_below_one_hit_in_eight():
+    bench, runs = _tpc_runs(80)
+    memo = RunMemo(bench.sut)
+    (s0, r0), rest = runs[0], runs[1:]
+    memo.put(s0, r0, None)
+    misses = iter(rest)
+    # 64 lookups, 8 of them hits: exactly 1 in 8, so it stays on.
+    for k in range(64):
+        if k % 8 == 0:
+            assert memo.get(s0) == (r0, None)
+        else:
+            s, r = next(misses)
+            assert memo.get(s) is None
+            memo.put(s, r, None)
+    assert (memo.lookups, memo.hits) == (64, 8) and memo.root is not None
+    # One more miss: 8 hits in 65 lookups is below 1 in 8.
+    assert memo.get(next(misses)[0]) is None
+    assert memo.get(s0) is None
+    s, r = next(misses)
+    memo.put(s, r, None)
+    assert memo.get(s) is None and memo.root is None
+
+
+def test_memo_is_emptied_at_its_node_limit(monkeypatch):
+    bench, runs = _tpc_runs(40)
+    limit = 120
+    monkeypatch.setattr(RunMemo, "LIMIT", limit)
+    monkeypatch.setattr(RunMemo, "PROBES", 10**9)
+    memo = RunMemo(bench.sut)
+    stored, resets = [], 0
+    for s, r in runs:
+        before = memo.nodes
+        memo.put(s, r, None)
+        acting = len(_acting(s, r))
+        if before >= limit:
+            # Emptied, then filled with this run's path alone.
+            assert memo.nodes == 1 + acting
+            assert all(memo.get(t) is None for t in stored)
+            stored, resets = [], resets + 1
+        assert memo.nodes <= limit + acting
+        stored.append(s)
+        assert all(memo.get(t) == (rt, None) for t, rt in runs if t in stored)
+    assert resets >= 2
+
+
+CAMPAIGNS = {
+    "micro": (lambda: build_micro(2, 5, True), ("model", "trace", "random"), 400),
+    "tpc": (lambda: build_tpc(3, 2, 3), ("model", "trace"), 300),
+    "raftlite": (lambda: build_raftlite(5, 2, quorum_bug=True, crash_quota=0),
+                 ("model", "line"), 300),
+}
+
+
+@pytest.mark.parametrize("name", list(CAMPAIGNS))
+def test_campaign_is_the_same_when_the_memo_never_answers(monkeypatch, name):
+    make, notions, budget = CAMPAIGNS[name]
+    lookups = Counter()
+    get = RunMemo.get
+
+    def counted(memo, schedule):
+        out = get(memo, schedule)
+        lookups[out is not None] += 1
+        return out
+
+    for notion in notions:
+        config = CampaignConfig(benchmark=make(), notion=notion, budget=budget, master_seed=9)
+        monkeypatch.setattr(RunMemo, "get", counted)
+        on = fuzz_campaign(config)
+        monkeypatch.setattr(RunMemo, "get", lambda memo, schedule: None)
+        off = fuzz_campaign(config)
+        assert on == off
+    assert lookups[False] > 0
+    if name == "micro":
+        assert lookups[True] > lookups[False]

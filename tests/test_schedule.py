@@ -51,6 +51,19 @@ def test_generation_is_deterministic():
     assert serialize_schedule(a) == serialize_schedule(b)
 
 
+def test_schedule_hash_is_the_dataclass_hash_computed_once():
+    params = GenParams(3, 100, 5, 10)
+    rng = random.Random(5)
+    for _ in range(50):
+        s = generate_random_schedule(params, rng)
+        assert "_hash" not in vars(s)
+        assert hash(s) == hash((s.steps, s.seed))
+        # The first hash stores the value that later ones read.
+        assert vars(s)["_hash"] == hash(s)
+        copy = Schedule(tuple(s.steps), s.seed)
+        assert copy == s and hash(copy) == hash(s) and {s: 1}[copy] == 1
+
+
 def test_generated_schedules_always_valid():
     rng = random.Random(2024)
     for _ in range(1000):

@@ -113,12 +113,11 @@ def test_compare_strategies_shape_and_determinism():
 
 
 def test_compare_requires_two_runs():
-    cfg = CompareConfig(
-        benchmark_factory=lambda: build_micro(1, 1, True),
-        notions=("model",),
-        runs=1,
-        budget=10,
-        master_seed=0,
-    )
     with pytest.raises(ValueError):
-        compare_strategies(cfg)
+        CompareConfig(
+            benchmark_factory=lambda: build_micro(1, 1, True),
+            notions=("model",),
+            runs=1,
+            budget=10,
+            master_seed=0,
+        )
