@@ -45,6 +45,7 @@ MUTATION_KINDS = (SWAP_BUFFERS, SWAP_CRASH_PROCESSES, SWAP_MAX_MESSAGES)
 # A mutant resumes only at a step its parent's run reached after this many
 # events: a checkpoint copy costs about as much as a few events.
 RESUME_EVENTS = 8
+MAX_CORPUS_SIZE = 10_000  # fresh_entries draws the whole corpus at once
 
 
 class CampaignConfigError(ValueError):
@@ -279,8 +280,8 @@ class CampaignConfig:
         bench = self.benchmark
         if bench.gen_defaults.crash_quota > 0 and not bench.sut.crashes_allowed:
             raise CampaignConfigError(NO_CRASHES.format(bench.name))
-        if self.budget < 1 or self.corpus_size < 1:
-            raise CampaignConfigError("budget and corpus size must be >= 1")
+        if self.budget < 1 or not 1 <= self.corpus_size <= MAX_CORPUS_SIZE:
+            raise CampaignConfigError(f"budget must be >= 1 and corpus size 1..{MAX_CORPUS_SIZE}")
         if self.energy_per_item < 0:
             raise CampaignConfigError(
                 f"energy per item must be >= 0, got {self.energy_per_item}")

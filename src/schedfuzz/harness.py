@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import NamedTuple
 
 from .schedule import CRASH, DELIVER, RESTART, BufferId, Schedule, buffer_universe
@@ -55,6 +56,24 @@ class Message(NamedTuple):
 
 def make_message(verb: str, **fields) -> Message:
     return Message(verb, tuple(sorted(fields.items())))
+
+
+_messages: dict = {}  # (verb, *fields.items()) in call order -> its Message
+MESSAGE_LIMIT = 1 << 12
+
+
+def _message(verb: str, fields: dict) -> Message:
+    """``make_message(verb, **fields)`` from a memo emptied at MESSAGE_LIMIT entries;
+    as in ``fingerprint``'s memos, no field value may be a bool or a float."""
+    key = (verb, *fields.items())
+    try:
+        return _messages[key]
+    except KeyError:
+        if len(_messages) >= MESSAGE_LIMIT:
+            _messages.clear()
+        return _messages.setdefault(key, Message(verb, tuple(sorted(key[1:]))))
+    except TypeError:  # a field value that cannot be hashed
+        return make_message(verb, **fields)
 
 
 class ConcreteEvent(NamedTuple):
@@ -193,15 +212,15 @@ class HandlerContext:
         self.point = (set() if points is None else points).add
 
     def send(self, dest: int, verb: str, **fields) -> None:
-        self.outbox.append((dest, Message(verb, tuple(sorted(fields.items())))))
+        self.outbox.append((dest, _message(verb, fields)))
 
     def broadcast(self, dests, verb: str, **fields) -> None:
         """``send`` to each of ``dests`` in order; they share one immutable message."""
-        msg = Message(verb, tuple(sorted(fields.items())))
+        msg = _message(verb, fields)
         self.outbox += [(dest, msg) for dest in dests]
 
     def internal(self, verb: str, **fields) -> None:
-        self.internals.append((verb, tuple(sorted(fields.items()))))
+        self.internals.append(_message(verb, fields))
 
 
 @dataclass
@@ -291,22 +310,16 @@ def execute_schedule(sut: SystemUnderTest, schedule: Schedule, start=None,
             marks[stop] = (clone_hs(hs), tuple(ready))
     run(steps[len(ready) - 1:], len(ready) - 1)
 
-    final = tuple(
-        sut.snapshot(p, hs.states[p]) if p in hs.alive else None
-        for p in range(sut.process_count)
-    )
-    return ExecutionResult(
-        trace=ConcreteEventTrace(tuple(hs.events), tuple(hs.skipped)),
-        points_hit=frozenset(hs.points),
-        violations=tuple(hs.violations),
-        final_states=final,
-        ready=tuple(ready),
-    )
+    final = tuple(sut.snapshot(p, hs.states[p]) if p in hs.alive else None
+                  for p in range(sut.process_count))
+    trace = ConcreteEventTrace(tuple(hs.events), tuple(hs.skipped))
+    return ExecutionResult(trace, frozenset(hs.points), tuple(hs.violations), final, tuple(ready))
 
 
-def stepper(sut: SystemUnderTest, hs: HarnessState, record=None):
+def stepper(sut: SystemUnderTest, hs: HarnessState, record=bool):
     """The run's step loop: ``run(steps, idx)`` executes ``steps``, numbered
-    from ``idx``, on ``hs`` and passes ``hs.ready`` to ``record`` after each.
+    from ``idx``, on ``hs`` and passes ``hs.ready`` to ``record`` (by default
+    ``bool``, which keeps nothing) after each.
 
     A deliver acts only if its buffer's bit is set in ``hs.ready``, a crash only
     on a live process and a restart only on a dead one; any other step is
@@ -314,7 +327,7 @@ def stepper(sut: SystemUnderTest, hs: HarnessState, record=None):
     the bit stays set; a control buffer never empties and gives its message once.
     The system's methods are looked up once per run, so a class patched
     between runs takes effect.  Every turn shares one context, whose points
-    land straight in ``hs.points``.
+    land straight in ``hs.points``.  Events skip the NamedTuple's ``__new__``.
     """
     handle, recover, observe, control_buffers = (
         sut.handle, sut.recover, sut.oracle_observe, sut.control_buffers)
@@ -329,7 +342,7 @@ def stepper(sut: SystemUnderTest, hs: HarnessState, record=None):
         """Run ``proc``'s handler on ``msg`` (restart ``proc`` if ``msg`` is None),
         then record the turn's events and sends and show each event to the oracle."""
         if msg is None:
-            event = ConcreteEvent(EV_RESTART, proc, None, "", (), idx)
+            event = tuple.__new__(ConcreteEvent, (EV_RESTART, proc, None, "", (), idx))
             states[proc] = recover(proc, persisted.pop(proc), ctx)
             alive.add(proc)
             # Messages sent to proc while it was down wait in its buffers again.
@@ -338,7 +351,8 @@ def stepper(sut: SystemUnderTest, hs: HarnessState, record=None):
                 if q and buf.receiver == proc:
                     hs.ready |= bit[buf]
         else:
-            event = ConcreteEvent(EV_DELIVER, proc, sender, msg.verb, msg.fields, idx)
+            event = tuple.__new__(
+                ConcreteEvent, (EV_DELIVER, proc, sender, msg.verb, msg.fields, idx))
             try:
                 handle(proc, states[proc], msg, ctx)
             except HarnessError:
@@ -373,34 +387,37 @@ def stepper(sut: SystemUnderTest, hs: HarnessState, record=None):
         for desc in observe(oracle, event, states, alive):
             violations.append(Violation(SAFETY, desc, idx))
         for verb, fields in internals:
-            event = ConcreteEvent(EV_INTERNAL, proc, None, verb, fields, idx)
+            event = tuple.__new__(ConcreteEvent, (EV_INTERNAL, proc, None, verb, fields, idx))
             events.append(event)
             for desc in observe(oracle, event, states, alive):
                 violations.append(Violation(SAFETY, desc, idx))
         internals.clear()
 
     def run(steps, idx):
+        ready = hs.ready
         for idx, (buf, op, count) in enumerate(steps, idx):
-            proc = buf.receiver
+            # A skipped deliver costs one bit test against ready and two appends.
+            if op == DELIVER and not ready & (b := bit.get(buf, 0)):
+                skipped.append(idx)
+                record(ready)
+                continue
+            sender, proc = buf
             if op == DELIVER:
-                b = bit.get(buf, 0)
-                if not hs.ready & b:
-                    skipped.append(idx)
-                elif b & control:
-                    turn(idx, proc, buf.sender, control_buffers[buf])
+                if b & control:
+                    turn(idx, proc, sender, control_buffers[buf])
                 else:
                     q = buffers[buf]
                     for _ in range(count):
                         msg = q.popleft()
                         if not q:
                             hs.ready &= ~b
-                        turn(idx, proc, buf.sender, msg)
+                        turn(idx, proc, sender, msg)
                         if not hs.ready & b:
                             break
             elif op == CRASH:
                 if proc in alive:
                     _kill(sut, hs, proc)
-                    event = ConcreteEvent(EV_CRASH, proc, None, "", (), idx)
+                    event = tuple.__new__(ConcreteEvent, (EV_CRASH, proc, None, "", (), idx))
                     events.append(event)
                     for desc in observe(oracle, event, states, alive):
                         violations.append(Violation(SAFETY, desc, idx))
@@ -413,8 +430,8 @@ def stepper(sut: SystemUnderTest, hs: HarnessState, record=None):
                     turn(idx, proc, None, None)
             else:
                 raise HarnessError(f"unknown op {op!r}")
-            if record is not None:
-                record(hs.ready)
+            ready = hs.ready
+            record(ready)
 
     return run
 
@@ -423,11 +440,12 @@ class RunMemo:
     """Fault-free runs from the start in a trie keyed by the steps that acted (a
     deliver acts iff its buffer's bit is set in ``ready``; a skipped step changes
     nothing; a crash or restart step bypasses the memo).  Node: [ready after its
-    step, its events' ev[:5], its violations' (kind, description), (points_hit,
-    final_states, extra) where a run ended, {step: child}], 0.9-1.4 KB.  Emptied
-    at LIMIT nodes; off once PROBES lookups have hit under 1 in RATE times."""
+    step, where a run ended (its acting step indices, events, violations,
+    points_hit, final_states, extra), {step: child}].  A lookup whose walk leaves
+    the trie before a crash or restart step counts as a miss.  Emptied at LIMIT
+    nodes; off once PROBES lookups have hit under 1 in RATE times."""
 
-    LIMIT, PROBES, RATE = 1 << 12, 64, 8
+    LIMIT, PROBES, RATE = 1 << 12, 32, 8
 
     def __init__(self, sut: SystemUnderTest):
         self.bit, self.limit, self.step_bit = sut.ready_bits.bit, self.LIMIT, {}
@@ -438,53 +456,57 @@ class RunMemo:
         if self.root is None:
             return None
         steps, step_bit = schedule.steps, self.step_bit
+        node, mask, path = self.root, self.root[0], []  # path: (step index, node) of acting steps
         try:  # step_bit: step -> its buffer's bit (0 for none), None for a crash or restart
-            bits = list(map(step_bit.__getitem__, steps))
+            for idx, st in enumerate(steps):
+                if mask & step_bit[st]:
+                    node = node[2].get(st)
+                    if node is None:
+                        break
+                    mask = node[0]
+                    path.append((idx, node))
         except KeyError:  # a step new to the memo
             step_bit.update((st, self.bit.get(st.buffer, 0) if st.op == DELIVER else None)
-                            for st in steps)
-            bits = list(map(step_bit.__getitem__, steps))
-        if None in bits:
+                            for st in steps[idx:] if st not in step_bit)
+            return self.get(schedule)
+        except TypeError:  # mask & None: a crash or restart step, which bypasses the memo
             return None
         self.lookups += 1
-        node, mask = self.root, self.root[0]
-        events, violations, skipped, ready = [], [], [], [mask]
-        for idx, b in enumerate(bits):
-            if mask & b:
-                node = node[4].get(steps[idx])
-                if node is None:
-                    break
-                mask = node[0]
-                events += [ConcreteEvent(*ev, idx) for ev in node[1]]
-                violations += [Violation(*v, idx) for v in node[2]]
-            else:
-                skipped.append(idx)
-            ready.append(mask)
-        if node is None or node[3] is None:
+        if node is None or node[1] is None:
             if self.lookups >= self.PROBES and self.hits * self.RATE < self.lookups:
                 self.root, self.limit = None, 0
             return None
         self.hits += 1
-        points, final, extra = node[3]
-        trace = ConcreteEventTrace(tuple(events), tuple(skipped))
-        return ExecutionResult(trace, points, tuple(violations), final, tuple(ready)), extra
+        acting, events, violations, points, final, extra = node[1]
+        new, mask, last, ready, skipped = tuple.__new__, self.root[0], -1, [], []
+        for idx, acted in (*path, (len(steps), node)):  # each step between two acting ones skipped
+            ready += [mask] * (idx - last)
+            skipped += range(last + 1, idx)
+            mask, last = acted[0], idx
+        at = [idx for idx, _ in path]
+        if at != acting:  # the stored run acted at other step indices
+            at = dict(zip(acting, at))
+            events = tuple([new(ConcreteEvent, (*ev[:5], at[ev[5]])) for ev in events])
+            violations = tuple([new(Violation, (*v[:2], at[v[2]])) for v in violations])
+        trace = ConcreteEventTrace(events, tuple(skipped))
+        return ExecutionResult(trace, points, violations, final, tuple(ready)), extra
 
     def put(self, schedule: Schedule, result: ExecutionResult, extra) -> None:
         """Store ``result``, ``execute_schedule(sut, schedule)``, and ``extra``."""
-        if not self.limit or any(st.op != DELIVER for st in schedule.steps):
+        steps, events, ready = schedule.steps, result.trace.events, result.ready
+        # A crash or restart step that acted left an event; one that did not changed nothing.
+        if not self.limit or not {EV_CRASH, EV_RESTART}.isdisjoint(map(itemgetter(0), events)):
             return
         if self.root is None or self.nodes >= self.limit:
-            self.root, self.nodes = [result.ready[0], (), (), None, {}], 1
-        node, of_step = self.root, {}  # step index -> ([its ev[:5]s], [its (kind, description)s])
-        for x in (*result.trace.events, *result.violations):
-            of_step.setdefault(x.step, ([], []))[type(x) is Violation].append(x[:-1])
-        for idx, (evs, vs) in sorted(of_step.items()):  # every acting step has an event
-            step = schedule.steps[idx]
-            if step not in node[4]:
+            self.root, self.nodes = [ready[0], None, {}], 1
+        node, acting = self.root, list(dict.fromkeys(map(itemgetter(5), events)))
+        for idx in acting:  # every acting step has an event, and they come in step order
+            child = node[2].get(steps[idx])
+            if child is None:
                 self.nodes += 1
-                node[4][step] = [result.ready[idx + 1], tuple(evs), tuple(vs), None, {}]
-            node = node[4][step]
-        node[3] = (result.points_hit, result.final_states, extra)
+                child = node[2][steps[idx]] = [ready[idx + 1], None, {}]
+            node = child
+        node[1] = (acting, events, result.violations, result.points_hit, result.final_states, extra)
 
 
 def _kill(sut, hs, proc) -> None:

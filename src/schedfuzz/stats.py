@@ -18,6 +18,7 @@ from .coverage import NOTIONS
 from .fuzzer import CampaignConfig, fuzz_campaign
 
 EXACT_LIMIT = 20  # enumerate rank assignments up to this pooled size
+MAX_RUNS = 1000
 
 
 def _midranks(pooled) -> list:
@@ -107,8 +108,8 @@ class CompareConfig:
     stop_on_bug: str | None = None
 
     def __post_init__(self):  # a setting no comparison can run with fails before any does
-        if self.runs < 2:
-            raise ValueError("need at least 2 runs to compare")
+        if not 2 <= self.runs <= MAX_RUNS:
+            raise ValueError(f"need at least 2 runs and at most {MAX_RUNS} to compare")
         if not self.notions or len(set(self.notions)) < len(self.notions):
             raise ValueError(f"need distinct notions to compare, got {list(self.notions)}")
         for n in self.notions:

@@ -7,9 +7,8 @@ given twice; a ``--param`` key or value that is wrong; or a config file that
 is malformed.  ``cli.main`` runs in-process, and its answer must be exit 0,
 or exit 2 with exactly one ``error:`` line, no traceback and no ``--out``
 directory.  Far-past values go only to keys and flags whose checks reject
-them or that allocate nothing by them (``--seed``, ``--energy``,
-``--budget-seconds``): a corpus size or run count that large would be
-honoured.
+them or that allocate nothing by them: ``--corpus-size`` and ``--runs``
+past their bounds, ``--seed``, ``--energy`` and ``--budget-seconds``.
 """
 
 import json
@@ -29,7 +28,7 @@ FLAGS = {
     "run": {
         "--budget": ODD + ["1"],
         "--seed": ODD + [HUGE, "-" + HUGE],
-        "--corpus-size": ODD + ["1", "2"],
+        "--corpus-size": ODD + ["1", "2", "10001", HUGE],
         "--energy": ODD + [HUGE],
         "--notion": ["model", "trace", "line", "random", "x", ""],
         "--budget-seconds": ODD + ["nan", "inf", "-inf", HUGE],
@@ -38,10 +37,10 @@ FLAGS = {
     },
     "compare": {
         "--budget": ODD + ["1"],
-        "--runs": ODD + ["1", "2", "3"],
+        "--runs": ODD + ["1", "2", "3", "1001", HUGE],
         "--notions": ["model", "model,model", ",", "x,model", "", "random,line", "trace,"],
         "--energy": ODD + [HUGE],
-        "--corpus-size": ODD + ["1"],
+        "--corpus-size": ODD + ["1", "10001", HUGE],
         "--stop-on-bug": ["", "x"],
         "--bench": ["x", "", "tpc"],
     },

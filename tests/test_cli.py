@@ -306,6 +306,10 @@ BAD_SETTINGS = [
     ("run", ["--energy", "-1"], "energy"),
     ("compare", ["--energy", "-1"], "energy"),
     ("compare", ["--runs", "1"], "at least 2 runs"),
+    ("compare", ["--runs", "1001"], "at most 1000"),
+    ("run", ["--corpus-size", "10001"], "corpus size 1..10000"),
+    ("compare", ["--corpus-size", "10001"], "corpus size 1..10000"),
+    ("run", ["--corpus-size", "99999999999999999999"], "corpus size 1..10000"),
     # "" is in every bug key, yet falsy: it never stopped a campaign.
     ("run", ["--stop-on-bug", ""], "stop on bug"),
     ("compare", ["--stop-on-bug", ""], "stop on bug"),

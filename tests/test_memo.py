@@ -130,6 +130,26 @@ def test_memo_switches_off_below_one_hit_in_eight():
     assert memo.get(s) is None and memo.root is None
 
 
+def test_memo_decides_at_its_probes_th_lookup():
+    """Before PROBES lookups the memo stays on whatever it finds; the
+    PROBES-th lookup turns it off if fewer than 1 in RATE of them hit."""
+    bench, runs = _tpc_runs(RunMemo.PROBES + 8)
+    memo = RunMemo(bench.sut)
+    (s0, r0), misses = runs[0], iter(runs[1:])
+    memo.put(s0, r0, None)
+    for k in range(RunMemo.PROBES - 1):
+        if k % RunMemo.RATE == 0 and k < RunMemo.PROBES - RunMemo.RATE:
+            assert memo.get(s0) == (r0, None)
+        else:
+            s, r = next(misses)
+            assert memo.get(s) is None
+            memo.put(s, r, None)
+    assert memo.hits == RunMemo.PROBES // RunMemo.RATE - 1 and memo.root is not None
+    assert memo.get(next(misses)[0]) is None
+    assert memo.lookups == RunMemo.PROBES and memo.root is None and memo.limit == 0
+    assert memo.get(s0) is None
+
+
 def test_memo_is_emptied_at_its_node_limit(monkeypatch):
     bench, runs = _tpc_runs(40)
     limit = 120
@@ -181,3 +201,26 @@ def test_campaign_is_the_same_when_the_memo_never_answers(monkeypatch, name):
     assert lookups[False] > 0
     if name == "micro":
         assert lookups[True] > lookups[False]
+
+
+def test_tpc_trace_campaign_turns_the_memo_off_in_its_window_and_micro_keeps_it(monkeypatch):
+    """On tpc under the trace notion almost no run repeats the acting steps of
+    an earlier one, so the memo is off from its PROBES-th lookup; on micro
+    most runs do, and it stays on for the whole campaign."""
+    memos = []
+    init = RunMemo.__init__
+
+    def kept(memo, sut):
+        init(memo, sut)
+        memos.append(memo)
+
+    monkeypatch.setattr(RunMemo, "__init__", kept)
+    fuzz_campaign(CampaignConfig(benchmark=build_tpc(3, 2, 3), notion="trace", budget=400,
+                                 master_seed=1, track_states=False))
+    fuzz_campaign(CampaignConfig(benchmark=build_micro(2, 5, True), notion="model", budget=300,
+                                 master_seed=1))
+    tpc, micro = memos
+    assert tpc.lookups == RunMemo.PROBES and tpc.hits * RunMemo.RATE < tpc.lookups
+    assert tpc.root is None and tpc.limit == 0 and tpc.nodes < 1000
+    assert micro.lookups > 4 * RunMemo.PROBES and micro.hits * 2 > micro.lookups
+    assert micro.root is not None and micro.limit == RunMemo.LIMIT

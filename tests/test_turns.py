@@ -4,7 +4,8 @@
 inside.  The turn takes each send's buffer and bit from the per-sender table
 ``ReadyBits.outbound`` and shows each event to the oracle as it records it.
 All turns of a run share one ``HandlerContext``, whose ``broadcast`` shares
-one message among its receivers.  The loop decides from ``hs.ready`` alone
+one message among its receivers; ``send`` and ``broadcast`` take their
+messages from a bounded memo, whose reference is ``make_message``.  The loop decides from ``hs.ready`` alone
 whether a deliver step acts.  The references below are the harness as first
 written: ``_deliver``, ``_do_crash`` and ``_do_restart`` make their own
 alive, control-buffer and empty-buffer checks; ``_run_handler`` and
@@ -321,3 +322,54 @@ def test_a_broadcast_shares_one_message_in_order():
     msgs = [m for _, m in ctx.outbox[1:]]
     assert msgs[0] == make_message("B", x=1, y=2)
     assert all(m is msgs[0] for m in msgs)
+
+
+def test_a_message_from_the_memo_equals_make_message_in_any_kwarg_order(monkeypatch):
+    monkeypatch.setattr(harness, "_messages", {})
+    rng = random.Random(5)
+    built = {}
+    for _ in range(400):
+        verb = rng.choice(["A", "B", "Vote"])
+        fields = {k: rng.choice([0, 1, 7, "x", "", (1, 2), ("a", (3,))])
+                  for k in rng.sample(["tx", "rm", "term", "entries", "a"], rng.randint(0, 4))}
+        keys = list(fields)
+        rng.shuffle(keys)
+        ctx = harness.HandlerContext()
+        ctx.send(1, verb, **{k: fields[k] for k in keys})
+        ctx.broadcast((2, 0), verb, **{k: fields[k] for k in reversed(keys)})
+        ctx.internal(verb, **fields)
+        want = make_message(verb, **fields)
+        msgs = [m for _, m in ctx.outbox] + ctx.internals
+        assert msgs == [want] * 4
+        assert all(type(m) is harness.Message for m in msgs)
+        # A repeat in the same kwarg order is answered by the same object.
+        key = (verb, *((k, fields[k]) for k in keys))
+        assert built.setdefault(key, msgs[0]) is msgs[0]
+    assert 0 < len(harness._messages) <= harness.MESSAGE_LIMIT
+
+
+def test_the_message_memo_is_emptied_at_its_limit(monkeypatch):
+    monkeypatch.setattr(harness, "_messages", {})
+    monkeypatch.setattr(harness, "MESSAGE_LIMIT", 8)
+    ctx = harness.HandlerContext()
+    for n in range(8):
+        ctx.send(0, "N", n=n)
+    assert len(harness._messages) == 8
+    ctx.send(0, "N", n=3)  # a hit adds nothing
+    assert len(harness._messages) == 8
+    ctx.broadcast((0, 1), "N", n=8)  # the ninth: emptied, then stored
+    assert list(harness._messages) == [("N", ("n", 8))]
+    assert [m for _, m in ctx.outbox] == [make_message("N", n=n) for n in (*range(8), 3, 8, 8)]
+
+
+def test_an_unhashable_field_value_builds_its_message_as_before(monkeypatch):
+    monkeypatch.setattr(harness, "_messages", {})
+    ctx = harness.HandlerContext()
+    ctx.send(1, "Log", entries=[1, 2], term=3)
+    ctx.broadcast((0, 2), "Log", term=3, entries={"a": 1})
+    ctx.internal("Seen", ids={4})
+    assert ctx.outbox == [(1, harness.Message("Log", (("entries", [1, 2]), ("term", 3)))),
+                          (0, harness.Message("Log", (("entries", {"a": 1}), ("term", 3)))),
+                          (2, harness.Message("Log", (("entries", {"a": 1}), ("term", 3))))]
+    assert ctx.internals == [harness.Message("Seen", (("ids", {4}),))]
+    assert harness._messages == {}
