@@ -22,8 +22,16 @@ from .model import StateExplosion, bfs_reachable
 from .schedule import parse_schedule, serialize_schedule
 from .stats import CompareConfig, compare_strategies
 
+
+def _path(text: str) -> Path:
+    """The type of every path flag: an empty path would name the current directory."""
+    if not text:
+        raise argparse.ArgumentTypeError("needs a non-empty path")
+    return Path(text)
+
+
 # The JSON types a config value may have, by the argparse type of its flag.
-_JSON_TYPES = {int: (int,), float: (int, float), None: (str,), Path: (str,)}
+_JSON_TYPES = {int: (int,), float: (int, float), None: (str,), _path: (str,)}
 
 
 def main(argv=None) -> int:
@@ -45,16 +53,14 @@ def _peek_config(argv) -> dict:
     """The config file named by --config, read with the parser's own spelling
     rules (``--config PATH`` or ``--config=PATH``); {} without the flag."""
     peek = argparse.ArgumentParser(add_help=False, exit_on_error=False)
-    peek.add_argument("--config")
+    peek.add_argument("--config", type=_path)
     try:
         path = peek.parse_known_args(argv)[0].config
-    except argparse.ArgumentError:  # --config as the last argument
-        path = ""
-    if path is None:
-        return {}
-    if not path:
-        raise ValueError("--config needs a file path")
-    cfg = json.loads(Path(path).read_text())
+        cfg = json.loads(path.read_text()) if path else {}
+    except argparse.ArgumentError as e:  # no path, or an empty one
+        raise ValueError(str(e)) from None
+    except (json.JSONDecodeError, RecursionError) as e:  # the latter: nested too deeply
+        raise ValueError(f"malformed config JSON: {e}") from None
     if not isinstance(cfg, dict) or not isinstance(cfg.get("params", {}), dict):
         raise ValueError("config file and its 'params' must each hold a JSON object")
     return cfg
@@ -73,16 +79,16 @@ def build_parser(cfg: dict) -> argparse.ArgumentParser:
         p.add_argument("--bench", choices=list(BENCHMARKS))
         p.add_argument("--param", action="append", default=[],
                        metavar="KEY=VALUE", help="benchmark parameter, dotted key")
-        p.add_argument("--config", type=Path, help="JSON config file")
+        p.add_argument("--config", type=_path, help="JSON config file")
 
     def campaign_flags(p):
         p.add_argument("--budget", type=int, default=1000)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--corpus-size", type=int, default=20)
-        p.add_argument("--energy", type=int, default=5)
+        p.add_argument("--corpus-size", type=int, default=CampaignConfig.corpus_size)
+        p.add_argument("--energy", type=int, default=CampaignConfig.energy_per_item)
         p.add_argument("--no-track-states", action="store_true")
         p.add_argument("--stop-on-bug", metavar="KEYPART")
-        p.add_argument("--out", type=Path, required=True)
+        p.add_argument("--out", type=_path, required=True)
 
     p_run = sub.add_parser("run", help="one fuzzing campaign")
     common(p_run)
@@ -102,14 +108,14 @@ def build_parser(cfg: dict) -> argparse.ArgumentParser:
     p_enum = sub.add_parser("enumerate", help="exhaustive small-instance oracle")
     common(p_enum)
     p_enum.add_argument("--max-depth", type=int, default=12)
-    p_enum.add_argument("--dump-states", type=Path, default=None,
+    p_enum.add_argument("--dump-states", type=_path, default=None,
                         help="write reachable state fingerprints (hex) here")
     p_enum.set_defaults(func=cmd_enumerate)
 
     p_rep = sub.add_parser("replay", help="execute one schedule file")
     common(p_rep)
-    p_rep.add_argument("--schedule", type=Path, required=True)
-    p_rep.add_argument("--json-out", type=Path, default=None)
+    p_rep.add_argument("--schedule", type=_path, required=True)
+    p_rep.add_argument("--json-out", type=_path, default=None)
     p_rep.set_defaults(func=cmd_replay)
     for p in sub.choices.values():
         p.set_defaults(unknown_config=_config_defaults(p, cfg))
@@ -129,7 +135,10 @@ def _config_defaults(p: argparse.ArgumentParser, cfg: dict) -> list:
         if type(value) not in want:
             raise ValueError(f"config key {key!r} needs a JSON {want[-1].__name__}, "
                              f"got {json.dumps(value)}")
-        action.default = action.type(value) if action.type else value
+        try:
+            action.default = action.type(value) if action.type else value
+        except argparse.ArgumentTypeError as e:
+            raise ValueError(f"config key {key!r} {e}") from None
         action.required = False
     return unknown
 
@@ -211,8 +220,6 @@ def cmd_compare(args) -> int:
     notions = tuple(n.strip() for n in args.notions.split(",") if n.strip())
     config = CompareConfig(benchmark_factory=lambda: get_benchmark(args), notions=notions,
                            runs=args.runs, **campaign_settings(args))
-    # A bad name, parameter or setting fails before --out is made.
-    CampaignConfig(benchmark=get_benchmark(args), notion=notions[0], **campaign_settings(args))
     args.out.mkdir(parents=True, exist_ok=True)
     result = compare_strategies(config)
     for (notion, run), timeline in sorted(result.timelines.items()):

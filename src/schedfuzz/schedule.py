@@ -203,7 +203,7 @@ def serialize_schedule(s: Schedule) -> bytes:
 def parse_schedule(data: bytes) -> Schedule:
     try:
         obj = json.loads(data)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:  # the latter: nested too deeply
         raise ScheduleError(f"malformed schedule JSON: {e}") from e
     if not isinstance(obj, dict) or not isinstance(obj.get("steps"), list):
         raise ScheduleError("malformed schedule JSON: 'steps' must be a list")

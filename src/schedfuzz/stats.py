@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import Callable
 
-from .coverage import NOTIONS
 from .fuzzer import CampaignConfig, fuzz_campaign
 
 EXACT_LIMIT = 20  # enumerate rank assignments up to this pooled size
@@ -102,26 +101,25 @@ class CompareConfig:
     runs: int
     budget: int
     master_seed: int
-    corpus_size: int = 20
-    energy_per_item: int = 5
-    track_states: bool = True
+    corpus_size: int = CampaignConfig.corpus_size
+    energy_per_item: int = CampaignConfig.energy_per_item
+    track_states: bool = CampaignConfig.track_states
     stop_on_bug: str | None = None
+    campaigns: dict = field(init=False, repr=False, compare=False)  # notion -> CampaignConfig
 
     def __post_init__(self):  # a setting no comparison can run with fails before any does
         if not 2 <= self.runs <= MAX_RUNS:
             raise ValueError(f"need at least 2 runs and at most {MAX_RUNS} to compare")
         if not self.notions or len(set(self.notions)) < len(self.notions):
             raise ValueError(f"need distinct notions to compare, got {list(self.notions)}")
-        for n in self.notions:
-            if n not in NOTIONS:
-                raise ValueError(f"unknown notion {n!r}")
+        bench = self.benchmark_factory()
+        object.__setattr__(self, "campaigns", {n: CampaignConfig(
+            bench, n, self.budget, self.master_seed, self.corpus_size, self.energy_per_item,
+            self.track_states, stop_on_bug=self.stop_on_bug) for n in self.notions})
 
 
 @dataclass
 class ComparisonResult:
-    notions: tuple
-    runs: int
-    budget: int
     final_states: dict = field(default_factory=dict)   # notion -> [count]
     final_coverage: dict = field(default_factory=dict) # notion -> [count]
     first_bug: dict = field(default_factory=dict)      # notion -> [iter|budget+1]
@@ -141,27 +139,21 @@ class ComparisonResult:
 
 def compare_strategies(config: CompareConfig) -> ComparisonResult:
     """Run every notion `runs` times on independent derived seeds."""
-    out = ComparisonResult(tuple(config.notions), config.runs, config.budget)
-    for notion in config.notions:
-        states_v, cov_v, bug_v = [], [], []
-        finds = 0
+    out = ComparisonResult()
+    for notion, campaign in config.campaigns.items():
+        states_v = out.final_states[notion] = []
+        cov_v = out.final_coverage[notion] = []
+        bug_v = out.first_bug[notion] = []
         for run in range(config.runs):
-            res = fuzz_campaign(CampaignConfig(
-                benchmark=config.benchmark_factory(), notion=notion, budget=config.budget,
-                master_seed=derive_seed(config.master_seed, notion, run),
-                corpus_size=config.corpus_size, energy_per_item=config.energy_per_item,
-                track_states=config.track_states, stop_on_bug=config.stop_on_bug))
+            res = fuzz_campaign(replace(
+                campaign, benchmark=config.benchmark_factory(),
+                master_seed=derive_seed(config.master_seed, notion, run)))
             states_v.append(len(res.state_coverage))
             cov_v.append(len(res.total_coverage))
-            first = (res.first_bug_iteration(config.stop_on_bug) if config.stop_on_bug
-                     else res.bug_log[0].first_iteration if res.bug_log else None)
-            finds += first is not None
+            first = res.first_bug_iteration(config.stop_on_bug or "")  # "" is in every key
             bug_v.append(config.budget + 1 if first is None else first)
             out.timelines[(notion, run)] = res.timeline
-        out.final_states[notion] = states_v
-        out.final_coverage[notion] = cov_v
-        out.first_bug[notion] = bug_v
-        out.find_count[notion] = finds
+        out.find_count[notion] = sum(b <= config.budget for b in bug_v)
 
     for a, b in combinations(config.notions, 2):
         u_states, p_states = mann_whitney_u(out.final_states[a], out.final_states[b])

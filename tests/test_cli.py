@@ -313,6 +313,9 @@ BAD_SETTINGS = [
     # "" is in every bug key, yet falsy: it never stopped a campaign.
     ("run", ["--stop-on-bug", ""], "stop on bug"),
     ("compare", ["--stop-on-bug", ""], "stop on bug"),
+    # An empty path is the current directory: the outputs landed there.
+    ("run", ["--out", ""], "--out: needs a non-empty path"),
+    ("compare", ["--out", ""], "--out: needs a non-empty path"),
 ]
 
 
@@ -324,12 +327,13 @@ def test_bad_campaign_setting_is_one_error_line(tmp_path, capsys, monkeypatch,
 
     monkeypatch.setattr(cli, "fuzz_campaign", fail)
     monkeypatch.setattr(stats, "fuzz_campaign", fail)
+    monkeypatch.chdir(tmp_path)
     argv = _command_argv(command, tmp_path) + ["--bench", "micro", *flags]
     code = main(argv)
     err = capsys.readouterr().err.splitlines()
     assert code == 2
     assert len(err) == 1 and err[0].startswith("error:") and words in err[0]
-    assert not (tmp_path / "out").exists()
+    assert not list(tmp_path.iterdir())
 
 
 def test_a_negative_snapshot_threshold_is_one_error_line(tmp_path, capsys, monkeypatch):
@@ -357,6 +361,7 @@ BAD_CONFIGS = [
     ("run", {"stop-on-bug": 1}, "'stop-on-bug'"),
     ("enumerate", {"bench": ["micro"]}, "'bench'"),
     ("enumerate", {"max-depth": None}, "'max-depth'"),
+    ("run", {"out": ""}, "config key 'out' needs a non-empty path"),
 ]
 
 
@@ -372,6 +377,27 @@ def test_bad_config_file_is_one_error_line(tmp_path, capsys, monkeypatch,
     assert code == 2
     assert len(err) == 1 and err[0].startswith("error:") and words in err[0]
     assert not (tmp_path / "out").exists()
+
+
+# json.dumps cannot build this; json.loads raises RecursionError on it.
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("command, flag, out_flag", [
+    ("run", "--config", "--out"),
+    ("replay", "--schedule", "--json-out"),
+])
+def test_deeply_nested_json_is_one_error_line(tmp_path, capsys, monkeypatch,
+                                              command, flag, out_flag):
+    _no_campaigns(monkeypatch)
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP_JSON)
+    out = tmp_path / "out"
+    code = main([command, "--bench", "micro", flag, str(deep), out_flag, str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: malformed") and "recursion" in err[0]
+    assert not out.exists()
 
 
 def test_config_values_of_their_flags_json_types_reach_the_campaign(tmp_path, capsys,

@@ -126,6 +126,12 @@ def test_malformed_top_level_is_a_parse_error(data):
         parse_schedule(data)
 
 
+def test_deeply_nested_json_is_a_parse_error():
+    # json.dumps cannot build this; json.loads raises RecursionError on it.
+    with pytest.raises(ScheduleError, match="malformed schedule JSON"):
+        parse_schedule(b"[" * 100_000 + b"]" * 100_000)
+
+
 def test_alternation_invariant_enforced():
     crash = ScheduleStep(BufferId(0, 1), CRASH)
     restart = ScheduleStep(BufferId(0, 1), RESTART)

@@ -1,9 +1,12 @@
+import dataclasses
 import random
 from itertools import permutations
 
 import pytest
 
-from schedfuzz.benchmarks import build_micro
+from schedfuzz import stats
+from schedfuzz.benchmarks import build_micro, build_tpc
+from schedfuzz.fuzzer import MAX_CORPUS_SIZE, CampaignConfig, fuzz_campaign
 from schedfuzz.stats import (
     CompareConfig,
     a12,
@@ -121,3 +124,72 @@ def test_compare_requires_two_runs():
             budget=10,
             master_seed=0,
         )
+
+
+def _tpc_with_crashes():
+    bench = build_tpc(2, 1, 2)
+    return dataclasses.replace(
+        bench, gen_defaults=dataclasses.replace(bench.gen_defaults, crash_quota=1))
+
+
+# Each row is a setting no campaign can run with; CompareConfig itself
+# rejects it, so an API caller learns before the first campaign runs.
+BAD_COMPARE_SETTINGS = [
+    (build_micro, {"budget": 0}, "budget"),
+    (build_micro, {"corpus_size": 0}, "corpus size"),
+    (build_micro, {"corpus_size": MAX_CORPUS_SIZE + 1}, "corpus size"),
+    (build_micro, {"energy_per_item": -1}, "energy"),
+    (build_micro, {"stop_on_bug": ""}, "stop on bug"),
+    (build_micro, {"notions": ("model", "psychic")}, "psychic"),
+    (_tpc_with_crashes, {}, "does not tolerate crash"),
+]
+
+
+@pytest.mark.parametrize("factory, settings, words", BAD_COMPARE_SETTINGS)
+def test_compare_config_rejects_a_bad_campaign_setting_at_construction(
+        monkeypatch, factory, settings, words):
+    def fail(*_):
+        raise AssertionError("a campaign ran despite a bad setting")
+
+    monkeypatch.setattr(stats, "fuzz_campaign", fail)
+    kwargs = dict(benchmark_factory=factory, notions=("model", "random"), runs=2,
+                  budget=10, master_seed=0)
+    with pytest.raises(ValueError, match=words):
+        CompareConfig(**{**kwargs, **settings})
+
+
+@pytest.mark.parametrize("stop_on_bug", [None, "NullDeref", "NoSuchKey"])
+def test_compare_strategies_matches_a_loop_of_campaigns(monkeypatch, stop_on_bug):
+    """A comparison is its campaigns, run in (notion, run) order on derived
+    seeds, each on a fresh benchmark with the comparison's settings."""
+    # At this seed each notion finds the bug in some runs and misses it in
+    # others, and one run finds it at the last iteration of its budget.
+    factory = lambda: build_micro(1, 1, True, max_steps=15)
+    notions, runs, budget, seed = ("model", "random", "trace"), 3, 58, 11
+    expected = {
+        (notion, run): fuzz_campaign(CampaignConfig(
+            factory(), notion, budget, derive_seed(seed, notion, run), corpus_size=4,
+            energy_per_item=2, track_states=True, stop_on_bug=stop_on_bug))
+        for notion in notions for run in range(runs)
+    }
+    seen = []
+
+    def counting(config):
+        seen.append((config.notion, config.master_seed))
+        return fuzz_campaign(config)
+
+    monkeypatch.setattr(stats, "fuzz_campaign", counting)
+    out = compare_strategies(CompareConfig(
+        benchmark_factory=factory, notions=notions, runs=runs, budget=budget,
+        master_seed=seed, corpus_size=4, energy_per_item=2, stop_on_bug=stop_on_bug))
+    assert seen == [(n, derive_seed(seed, n, r)) for n, r in expected]
+    assert list(out.timelines.items()) == [(k, res.timeline) for k, res in expected.items()]
+    for notion in notions:
+        results = [expected[(notion, run)] for run in range(runs)]
+        firsts = [next((rec.first_iteration for rec in res.bug_log
+                        if stop_on_bug is None or stop_on_bug in rec.key), None)
+                  for res in results]
+        assert out.final_states[notion] == [len(res.state_coverage) for res in results]
+        assert out.final_coverage[notion] == [len(res.total_coverage) for res in results]
+        assert out.first_bug[notion] == [budget + 1 if f is None else f for f in firsts]
+        assert out.find_count[notion] == sum(f is not None for f in firsts)
