@@ -373,6 +373,7 @@ EVENTS = {
     "AppendEntriesResponse": ("HandleAppendEntriesResponse",
                               (RECV, "term", "success", "match")),
 }
+LIVE_ACTIONS = frozenset(action for action, _ in EVENTS.values())
 
 
 def raftlite_model(proc_count: int) -> Lts:
@@ -398,7 +399,9 @@ def raftlite_model(proc_count: int) -> Lts:
                 return None
             return RaftState(terms, _set(roles, p, FOLLOWER), logs, snaps,
                              tuple(sorted(active + (p,))))
-        # All remaining actions happen at a live process.
+        # All remaining actions happen at a live process; an unknown one fails first.
+        if name not in LIVE_ACTIONS:
+            raise MappingContractError(f"raftlite model knows no action {name!r}")
         p = args[0]
         if p not in active:
             return None
@@ -443,11 +446,8 @@ def raftlite_model(proc_count: int) -> Lts:
                     del merged[idx - 1:]
                 merged.append(e)
             return RaftState(terms, roles, _set(logs, p, tuple(merged)), snaps, active)
-        if name == "UpdateSnapshotIndex":
-            _, snap = args
-            return RaftState(terms, roles, logs, _set(snaps, p, max(snaps[p], snap)),
-                             active)
-        raise MappingContractError(f"raftlite model knows no action {name!r}")
+        _, snap = args  # UpdateSnapshotIndex, the one action left
+        return RaftState(terms, roles, logs, _set(snaps, p, max(snaps[p], snap)), active)
 
     def enabled(q: RaftState):
         # Control skeleton only: message-handling actions take unbounded

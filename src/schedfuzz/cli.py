@@ -240,6 +240,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    if args.max_depth < 0:
+        raise ValueError(f"--max-depth must be >= 0, got {args.max_depth}")
     bench = get_benchmark(args)
     res = enumerate_orderings(bench, max_depth=args.max_depth)
     bfs = bfs_reachable(bench.lts, depth_limit=args.max_depth)

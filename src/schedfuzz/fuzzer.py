@@ -322,7 +322,10 @@ class CampaignResult:
         return None
 
 
-def fuzz_campaign(config: CampaignConfig) -> CampaignResult:
+def fuzz_campaign(config: CampaignConfig, memo: RunMemo | None = None) -> CampaignResult:
+    """Run one campaign.  ``memo``, a ``RunMemo`` of ``config.benchmark.sut``
+    that other campaigns may have filled, answers runs from the start; None
+    makes a fresh one."""
     bench = config.benchmark
     gen = bench.gen_defaults
     rng = random.Random(config.master_seed)
@@ -336,7 +339,7 @@ def fuzz_campaign(config: CampaignConfig) -> CampaignResult:
     # mutants.  Only mutants are looked up: a mutant keeps its parent's seed,
     # while every fresh schedule draws a new 64-bit one.
     executed: dict = {}
-    memo = RunMemo(bench.sut)
+    memo = RunMemo(bench.sut) if memo is None else memo
     next_id = 0
     unqueued = 0  # spawned mutants that could never be dequeued
     deadline = (
@@ -413,10 +416,12 @@ def fuzz_campaign(config: CampaignConfig) -> CampaignResult:
         # The event index of each new checkpoint, and the model's triple there.
         at = {len(hs.events): None for hs, _ in marks.values()} if marks else None
         if need_model:
-            if hit is None:
+            if state_items is None:  # a fresh run, or a hit stored without the model
                 state_items, unmatched = walk_model(bench, exec_result.trace, resume, at)
             result.unmatched_actions += unmatched
             states |= state_items
+        else:  # a hit stored by a campaign walking the model holds its count
+            unmatched = 0
         if marks:
             held.update((x, (hs, ready, at[len(hs.events)]))
                         for x, (hs, ready) in marks.items())

@@ -443,7 +443,8 @@ class RunMemo:
     step, where a run ended (its acting step indices, events, violations,
     points_hit, final_states, extra), {step: child}].  A lookup whose walk leaves
     the trie before a crash or restart step counts as a miss.  Emptied at LIMIT
-    nodes; off once PROBES lookups have hit under 1 in RATE times."""
+    nodes; off once PROBES lookups, by every campaign that shares the memo,
+    have hit under 1 in RATE times."""
 
     LIMIT, PROBES, RATE = 1 << 12, 32, 8
 

@@ -15,6 +15,7 @@ from itertools import combinations
 from typing import Callable
 
 from .fuzzer import CampaignConfig, fuzz_campaign
+from .harness import RunMemo
 
 EXACT_LIMIT = 20  # enumerate rank assignments up to this pooled size
 MAX_RUNS = 1000
@@ -96,7 +97,7 @@ def derive_seed(master_seed: int, strategy: str, run_index: int) -> int:
 
 @dataclass(frozen=True)
 class CompareConfig:
-    benchmark_factory: Callable  # () -> Benchmark; fresh per run
+    benchmark_factory: Callable  # () -> Benchmark; called once: every campaign runs on it
     notions: tuple
     runs: int
     budget: int
@@ -138,16 +139,17 @@ class ComparisonResult:
 
 
 def compare_strategies(config: CompareConfig) -> ComparisonResult:
-    """Run every notion `runs` times on independent derived seeds."""
+    """Run every notion `runs` times on independent derived seeds, all on one
+    benchmark and one run memo: a fault-free run is the same in any campaign."""
     out = ComparisonResult()
+    memo = RunMemo(next(iter(config.campaigns.values())).benchmark.sut)
     for notion, campaign in config.campaigns.items():
         states_v = out.final_states[notion] = []
         cov_v = out.final_coverage[notion] = []
         bug_v = out.first_bug[notion] = []
         for run in range(config.runs):
             res = fuzz_campaign(replace(
-                campaign, benchmark=config.benchmark_factory(),
-                master_seed=derive_seed(config.master_seed, notion, run)))
+                campaign, master_seed=derive_seed(config.master_seed, notion, run)), memo)
             states_v.append(len(res.state_coverage))
             cov_v.append(len(res.total_coverage))
             first = res.first_bug_iteration(config.stop_on_bug or "")  # "" is in every key

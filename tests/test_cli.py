@@ -316,6 +316,8 @@ BAD_SETTINGS = [
     # An empty path is the current directory: the outputs landed there.
     ("run", ["--out", ""], "--out: needs a non-empty path"),
     ("compare", ["--out", ""], "--out: needs a non-empty path"),
+    # Checked before the orderings are enumerated, under the flag's own name.
+    ("enumerate", ["--max-depth", "-1", "--dump-states", "states.txt"], "--max-depth"),
 ]
 
 

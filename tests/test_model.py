@@ -49,10 +49,18 @@ def test_micro_and_tpc_fingerprints_disjoint():
     assert micro.fingerprints.isdisjoint(tpc.fingerprints)
 
 
-def test_unknown_action_is_a_mapping_contract_error():
-    bench = build_micro(1, 1, True)
+@pytest.mark.parametrize("args", [(1,), ()])
+@pytest.mark.parametrize("build, before", [
+    (lambda: build_micro(1, 1, True), []),
+    (lambda: build_tpc(2, 1, 1), []),
+    (lambda: build_raftlite(3), []),
+    # raftlite's model used to test for a live process before the name, so
+    # an unknown action at a crashed one was filed as merely unmatched.
+    (lambda: build_raftlite(3), [ModelAction("Crash", (1,))]),
+], ids=["micro", "tpc", "raftlite", "raftlite-crashed"])
+def test_unknown_action_is_a_mapping_contract_error(build, before, args):
     with pytest.raises(MappingContractError):
-        run_actions(bench.lts, [ModelAction("Levitate", (1,))])
+        run_actions(build().lts, [*before, ModelAction("Levitate", args)])
 
 
 def test_visited_is_subset_of_bfs_reachable():

@@ -158,10 +158,16 @@ def test_compare_config_rejects_a_bad_campaign_setting_at_construction(
         CompareConfig(**{**kwargs, **settings})
 
 
-@pytest.mark.parametrize("stop_on_bug", [None, "NullDeref", "NoSuchKey"])
-def test_compare_strategies_matches_a_loop_of_campaigns(monkeypatch, stop_on_bug):
+@pytest.mark.parametrize("stop_on_bug, track_states", [
+    (None, True), ("NullDeref", True), ("NoSuchKey", True),
+    # Only the model campaigns walk the model: the others share their runs.
+    (None, False),
+])
+def test_compare_strategies_matches_a_loop_of_campaigns(monkeypatch, stop_on_bug,
+                                                        track_states):
     """A comparison is its campaigns, run in (notion, run) order on derived
-    seeds, each on a fresh benchmark with the comparison's settings."""
+    seeds, on one benchmark sharing one run memo, with the comparison's
+    settings; the reference runs each on a fresh benchmark and memo."""
     # At this seed each notion finds the bug in some runs and misses it in
     # others, and one run finds it at the last iteration of its budget.
     factory = lambda: build_micro(1, 1, True, max_steps=15)
@@ -169,20 +175,23 @@ def test_compare_strategies_matches_a_loop_of_campaigns(monkeypatch, stop_on_bug
     expected = {
         (notion, run): fuzz_campaign(CampaignConfig(
             factory(), notion, budget, derive_seed(seed, notion, run), corpus_size=4,
-            energy_per_item=2, track_states=True, stop_on_bug=stop_on_bug))
+            energy_per_item=2, track_states=track_states, stop_on_bug=stop_on_bug))
         for notion in notions for run in range(runs)
     }
-    seen = []
+    seen, got = [], []
 
-    def counting(config):
+    def counting(config, memo):
         seen.append((config.notion, config.master_seed))
-        return fuzz_campaign(config)
+        got.append(fuzz_campaign(config, memo))
+        return got[-1]
 
     monkeypatch.setattr(stats, "fuzz_campaign", counting)
     out = compare_strategies(CompareConfig(
         benchmark_factory=factory, notions=notions, runs=runs, budget=budget,
-        master_seed=seed, corpus_size=4, energy_per_item=2, stop_on_bug=stop_on_bug))
+        master_seed=seed, corpus_size=4, energy_per_item=2, track_states=track_states,
+        stop_on_bug=stop_on_bug))
     assert seen == [(n, derive_seed(seed, n, r)) for n, r in expected]
+    assert got == list(expected.values())
     assert list(out.timelines.items()) == [(k, res.timeline) for k, res in expected.items()]
     for notion in notions:
         results = [expected[(notion, run)] for run in range(runs)]
