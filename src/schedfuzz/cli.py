@@ -217,7 +217,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    notions = tuple(n.strip() for n in args.notions.split(",") if n.strip())
+    notions = tuple(n.strip() for n in args.notions.split(","))
     config = CompareConfig(benchmark_factory=lambda: get_benchmark(args), notions=notions,
                            runs=args.runs, **campaign_settings(args))
     args.out.mkdir(parents=True, exist_ok=True)

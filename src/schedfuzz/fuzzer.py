@@ -325,7 +325,7 @@ class CampaignResult:
 def fuzz_campaign(config: CampaignConfig, memo: RunMemo | None = None) -> CampaignResult:
     """Run one campaign.  ``memo``, a ``RunMemo`` of ``config.benchmark.sut``
     that other campaigns may have filled, answers runs from the start; None
-    makes a fresh one."""
+    makes a fresh one.  A hit is read as stored; only a parent's is rebuilt exactly."""
     bench = config.benchmark
     gen = bench.gen_defaults
     rng = random.Random(config.master_seed)
@@ -410,14 +410,16 @@ def fuzz_campaign(config: CampaignConfig, memo: RunMemo | None = None) -> Campai
                         held[c], start = start, (clone_hs(hs), ready, model)
                 marks = {x: None for x in later if c < x <= d}
         # A run from the start without checkpoints may be answered by the memo.
-        hit = memo.get(schedule) if start is None and not marks else None
-        exec_result, (state_items, unmatched) = hit or (
+        hit = memo.find(schedule) if start is None and not marks else None
+        run, (state_items, unmatched) = hit or (
             execute_schedule(bench.sut, schedule, start, marks), (None, 0))
         # The event index of each new checkpoint, and the model's triple there.
         at = {len(hs.events): None for hs, _ in marks.values()} if marks else None
         if need_model:
             if state_items is None:  # a fresh run, or a hit stored without the model
-                state_items, unmatched = walk_model(bench, exec_result.trace, resume, at)
+                state_items, unmatched = walk_model(bench, run.trace, resume, at)
+                if hit:  # so that no later hit walks it again
+                    hit[1] = (state_items, unmatched)
             result.unmatched_actions += unmatched
             states |= state_items
         else:  # a hit stored by a campaign walking the model holds its count
@@ -426,13 +428,12 @@ def fuzz_campaign(config: CampaignConfig, memo: RunMemo | None = None) -> Campai
             held.update((x, (hs, ready, at[len(hs.events)]))
                         for x, (hs, ready) in marks.items())
         elif start is None and hit is None:
-            memo.put(schedule, exec_result, (state_items, unmatched))
+            memo.put(schedule, run, (state_items, unmatched))
         # The model notion's coverage items are the state items just computed.
-        items = (state_items if config.notion == MODEL
-                 else assess(config.notion, exec_result))
+        items = state_items if config.notion == MODEL else assess(config.notion, run)
 
         stop = False
-        for v in exec_result.violations:
+        for v in run.violations:
             if v.key not in seen_bugs:
                 seen_bugs.add(v.key)
                 result.bug_log.append(BugRecord(v.key, iteration, schedule))
@@ -452,10 +453,12 @@ def fuzz_campaign(config: CampaignConfig, memo: RunMemo | None = None) -> Campai
             # mutants are counted, not queued.
             drawn = max(0, min(energy, config.budget - iteration - len(queue)))
             if drawn:
-                events = exec_result.trace.events
+                if hit:  # the step indices and ready masks of this schedule's run
+                    run = memo.exact(schedule)
+                events = run.trace.events
                 floor = (events[RESUME_EVENTS - 1].step
                          if len(events) >= RESUME_EVENTS else None)
-                siblings = (divergence(schedule, exec_result, bits), floor, next_id, drawn)
+                siblings = (divergence(schedule, run, bits), floor, next_id, drawn)
                 queue.extend((schedule, eid, entry_id, iteration, siblings)
                              for eid in range(next_id, next_id + drawn))
             next_id += energy

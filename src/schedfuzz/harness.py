@@ -12,7 +12,7 @@ bit for bit.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple
@@ -440,11 +440,10 @@ class RunMemo:
     """Fault-free runs from the start in a trie keyed by the steps that acted (a
     deliver acts iff its buffer's bit is set in ``ready``; a skipped step changes
     nothing; a crash or restart step bypasses the memo).  Node: [ready after its
-    step, where a run ended (its acting step indices, events, violations,
-    points_hit, final_states, extra), {step: child}].  A lookup whose walk leaves
-    the trie before a crash or restart step counts as a miss.  Emptied at LIMIT
-    nodes; off once PROBES lookups, by every campaign that shares the memo,
-    have hit under 1 in RATE times."""
+    step, [result, extra] of a run that ended there (see ``find``), {step: child}].
+    A lookup whose walk leaves the trie before a crash or restart step counts
+    as a miss.  Emptied at LIMIT nodes; off once PROBES lookups, by every
+    campaign that shares the memo, have hit under 1 in RATE times."""
 
     LIMIT, PROBES, RATE = 1 << 12, 32, 8
 
@@ -452,12 +451,9 @@ class RunMemo:
         self.bit, self.limit, self.step_bit = sut.ready_bits.bit, self.LIMIT, {}
         self.root, self.nodes, self.lookups, self.hits = None, 0, 0, 0
 
-    def get(self, schedule: Schedule):
-        """``(execute_schedule(sut, schedule), extra)`` as ``put`` got them, or None."""
-        if self.root is None:
-            return None
-        steps, step_bit = schedule.steps, self.step_bit
-        node, mask, path = self.root, self.root[0], []  # path: (step index, node) of acting steps
+    def _walk(self, steps):
+        """(end node or None, [(step index, node)] of acting steps); None at a crash or restart."""
+        node, mask, path, step_bit = self.root, self.root[0], [], self.step_bit
         try:  # step_bit: step -> its buffer's bit (0 for none), None for a crash or restart
             for idx, st in enumerate(steps):
                 if mask & step_bit[st]:
@@ -469,28 +465,45 @@ class RunMemo:
         except KeyError:  # a step new to the memo
             step_bit.update((st, self.bit.get(st.buffer, 0) if st.op == DELIVER else None)
                             for st in steps[idx:] if st not in step_bit)
-            return self.get(schedule)
+            return self._walk(steps)
         except TypeError:  # mask & None: a crash or restart step, which bypasses the memo
             return None
+        return node, path
+
+    def find(self, schedule: Schedule):
+        """The ``[result, extra]`` of ``schedule``'s acting steps, or None: ``put``'s
+        result, without ``ready`` or skipped steps, and exact but for step indices."""
+        if self.root is None or (walk := self._walk(schedule.steps)) is None:
+            return None
         self.lookups += 1
-        if node is None or node[1] is None:
+        if walk[0] is None or walk[0][1] is None:
             if self.lookups >= self.PROBES and self.hits * self.RATE < self.lookups:
                 self.root, self.limit = None, 0
             return None
         self.hits += 1
-        acting, events, violations, points, final, extra = node[1]
-        new, mask, last, ready, skipped = tuple.__new__, self.root[0], -1, [], []
+        return walk[0][1]
+
+    def get(self, schedule: Schedule):
+        """``(execute_schedule(sut, schedule), extra)`` as ``put`` got them, or None."""
+        hit = self.find(schedule)
+        return None if hit is None else (self.exact(schedule), hit[1])
+
+    def exact(self, schedule: Schedule) -> ExecutionResult:
+        """``execute_schedule(sut, schedule)`` for a ``find`` hit, counting no lookup."""
+        (node, path), steps = self._walk(schedule.steps), schedule.steps
+        run, new, mask, last, ready, skipped = node[1][0], tuple.__new__, self.root[0], -1, [], []
         for idx, acted in (*path, (len(steps), node)):  # each step between two acting ones skipped
             ready += [mask] * (idx - last)
             skipped += range(last + 1, idx)
             mask, last = acted[0], idx
-        at = [idx for idx, _ in path]
+        events, violations, at = run.trace.events, run.violations, [idx for idx, _ in path]
+        acting = list(dict.fromkeys(map(itemgetter(5), events)))  # each acting step has an event
         if at != acting:  # the stored run acted at other step indices
             at = dict(zip(acting, at))
             events = tuple([new(ConcreteEvent, (*ev[:5], at[ev[5]])) for ev in events])
             violations = tuple([new(Violation, (*v[:2], at[v[2]])) for v in violations])
         trace = ConcreteEventTrace(events, tuple(skipped))
-        return ExecutionResult(trace, points, violations, final, tuple(ready)), extra
+        return ExecutionResult(trace, run.points_hit, violations, run.final_states, tuple(ready))
 
     def put(self, schedule: Schedule, result: ExecutionResult, extra) -> None:
         """Store ``result``, ``execute_schedule(sut, schedule)``, and ``extra``."""
@@ -500,14 +513,14 @@ class RunMemo:
             return
         if self.root is None or self.nodes >= self.limit:
             self.root, self.nodes = [ready[0], None, {}], 1
-        node, acting = self.root, list(dict.fromkeys(map(itemgetter(5), events)))
-        for idx in acting:  # every acting step has an event, and they come in step order
+        node = self.root
+        for idx in dict.fromkeys(map(itemgetter(5), events)):  # acting steps, in step order
             child = node[2].get(steps[idx])
             if child is None:
                 self.nodes += 1
                 child = node[2][steps[idx]] = [ready[idx + 1], None, {}]
             node = child
-        node[1] = (acting, events, result.violations, result.points_hit, result.final_states, extra)
+        node[1] = [replace(result, trace=result.trace._replace(skipped=()), ready=()), extra]
 
 
 def _kill(sut, hs, proc) -> None:

@@ -76,15 +76,15 @@ def test_run_summary_counts_the_repeats(tmp_path, capsys, monkeypatch):
         runs.append(schedule)
         return execute(sut, schedule, *resume)
 
-    def counting_get(memo, schedule):
-        out = get(memo, schedule)
+    def counting_find(memo, schedule):
+        out = find(memo, schedule)
         if out is not None:
             hits.append(schedule)
         return out
 
-    execute, get = fuzzer.execute_schedule, RunMemo.get
+    execute, find = fuzzer.execute_schedule, RunMemo.find
     monkeypatch.setattr(fuzzer, "execute_schedule", counting)
-    monkeypatch.setattr(RunMemo, "get", counting_get)
+    monkeypatch.setattr(RunMemo, "find", counting_find)
     code, out = run_cli(capsys, "run", "--bench", "micro", "--budget", "300",
                         "--seed", "3", "--out", str(tmp_path / "o"))
     assert code == 0
@@ -201,7 +201,7 @@ def test_unknown_notion_is_reported(tmp_path, capsys):
     assert "psychic" in err
 
 
-@pytest.mark.parametrize("notions", ["model,model", ","])
+@pytest.mark.parametrize("notions", ["model,model", ",", "model,,random", "trace,"])
 def test_compare_rejects_an_empty_or_repeated_notion_list(tmp_path, capsys,
                                                           monkeypatch, notions):
     def fail(*_):

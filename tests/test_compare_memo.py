@@ -6,10 +6,11 @@ holds campaigns that share a memo to the same campaigns run on their own.
 """
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
-from schedfuzz import stats
+from schedfuzz import fuzzer, stats
 from schedfuzz.benchmarks import build_micro
 from schedfuzz.fuzzer import CampaignConfig, fuzz_campaign
 from schedfuzz.harness import RunMemo
@@ -100,3 +101,45 @@ def test_sharing_the_memo_hits_more_than_a_memo_per_campaign(monkeypatch):
             assert out.timelines[(notion, run)] == res.timeline
             alone += memo.hits
     assert memos[0].hits > alone
+
+
+def test_a_run_stored_without_state_items_is_walked_once(monkeypatch):
+    """A model campaign that hits a run stored by a campaign that does not
+    walk the model walks it and writes its items back, so no later hit walks
+    it again; the campaigns end as they do with the memo off."""
+    config = CompareConfig(benchmark_factory=lambda: build_micro(2, 5, True),
+                           notions=("random", "trace", "model"), runs=3, budget=500,
+                           master_seed=1, track_states=False)
+
+    def campaigns():
+        results = []
+
+        def kept(config, memo):
+            results.append(fuzz_campaign(config, memo))
+            return results[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(stats, "fuzz_campaign", kept)
+            return compare_strategies(config), results
+
+    walks, hit_traces = Counter(), {}
+    walk, find = fuzzer.walk_model, RunMemo.find
+
+    def counted_walk(bench, trace, start=None, marks=None):
+        walks[id(trace)] += 1
+        return walk(bench, trace, start, marks)
+
+    def recorded_find(memo, schedule):
+        hit = find(memo, schedule)
+        if hit is not None:
+            hit_traces[id(hit[0].trace)] = hit[0].trace  # kept, so no id is reused
+        return hit
+
+    with monkeypatch.context() as m:
+        m.setattr(fuzzer, "walk_model", counted_walk)
+        m.setattr(RunMemo, "find", recorded_find)
+        on = campaigns()
+    on_hits = [walks[t] for t in hit_traces if walks[t]]
+    assert len(on_hits) > 100 and max(on_hits) == 1
+    monkeypatch.setattr(RunMemo, "LIMIT", 0)  # the memo stores nothing
+    assert campaigns() == on

@@ -4,7 +4,8 @@
 were run before.  The reference is ``execute_schedule``: every answer must
 equal its result, on fresh schedules and on schedules that repeat an earlier
 run's acting steps, and the memo must answer no schedule with a crash or
-restart step.  A campaign must not change when the memo never answers.
+restart step.  A campaign must not change when the memo never answers, nor
+when every hit is answered by the exact ``get`` instead of the stored run.
 """
 
 import random
@@ -12,9 +13,11 @@ from collections import Counter
 
 import pytest
 
+from schedfuzz import fuzzer
 from schedfuzz.benchmarks import build_micro, build_raftlite, build_tpc
 from schedfuzz.fuzzer import AUTO, CampaignConfig, fuzz_campaign, mutate
 from schedfuzz.harness import RunMemo, execute_schedule
+from schedfuzz.stats import CompareConfig, compare_strategies
 from schedfuzz.schedule import DELIVER, Schedule, generate_random_schedule
 
 BENCHES = {
@@ -184,18 +187,18 @@ CAMPAIGNS = {
 def test_campaign_is_the_same_when_the_memo_never_answers(monkeypatch, name):
     make, notions, budget = CAMPAIGNS[name]
     lookups = Counter()
-    get = RunMemo.get
+    find = RunMemo.find
 
     def counted(memo, schedule):
-        out = get(memo, schedule)
+        out = find(memo, schedule)
         lookups[out is not None] += 1
         return out
 
     for notion in notions:
         config = CampaignConfig(benchmark=make(), notion=notion, budget=budget, master_seed=9)
-        monkeypatch.setattr(RunMemo, "get", counted)
+        monkeypatch.setattr(RunMemo, "find", counted)
         on = fuzz_campaign(config)
-        monkeypatch.setattr(RunMemo, "get", lambda memo, schedule: None)
+        monkeypatch.setattr(RunMemo, "find", lambda memo, schedule: None)
         off = fuzz_campaign(config)
         assert on == off
     assert lookups[False] > 0
@@ -224,3 +227,86 @@ def test_tpc_trace_campaign_turns_the_memo_off_in_its_window_and_micro_keeps_it(
     assert tpc.root is None and tpc.limit == 0 and tpc.nodes < 1000
     assert micro.lookups > 4 * RunMemo.PROBES and micro.hits * 2 > micro.lookups
     assert micro.root is not None and micro.limit == RunMemo.LIMIT
+
+
+@pytest.mark.parametrize("name", ["micro", "tpc", "raftlite"])
+def test_a_stored_run_is_the_harness_run_but_for_step_indices(monkeypatch, name):
+    """What a campaign reads from a hit without asking for the exact result:
+    each event's first five fields, the violation keys, the points and the
+    final states, all equal to ``execute_schedule``'s; ``exact`` equals it,
+    counts no lookup, and refuses a schedule that missed."""
+    monkeypatch.setattr(RunMemo, "PROBES", 10**9)
+    bench = BENCHES[name]()
+    memo = RunMemo(bench.sut)
+    outcomes = Counter()
+    for s, run in _schedules(random.Random(41), bench, 600):
+        hit = memo.find(s)
+        if hit is None:
+            with pytest.raises(TypeError):  # exact answers only what find answers
+                memo.exact(s)
+            memo.put(s, run, None)
+            continue
+        stored = hit[0]
+        assert [ev[:5] for ev in stored.trace.events] == [ev[:5] for ev in run.trace.events]
+        assert [v.key for v in stored.violations] == [v.key for v in run.violations]
+        assert (stored.points_hit, stored.final_states) == (run.points_hit, run.final_states)
+        counts = memo.lookups, memo.hits
+        assert memo.exact(s) == run and (memo.lookups, memo.hits) == counts
+        outcomes["hit"] += 1
+        outcomes["renumbered"] += stored.trace.events != run.trace.events
+    assert outcomes["hit"] > 40, outcomes
+    if name != "raftlite":  # no hit of this mix acts at other step indices there
+        assert outcomes["renumbered"] > 0, outcomes
+
+
+def _with_harness_calls(monkeypatch, run):
+    """``run()`` and the harness calls it made: (schedule, the step it resumed
+    at or None, the steps it took checkpoints at)."""
+    calls, execute = [], fuzzer.execute_schedule
+
+    def logged(sut, schedule, start=None, marks=None):
+        calls.append((schedule, start and len(start[1]) - 1, sorted(marks or ())))
+        return execute(sut, schedule, start, marks)
+
+    with monkeypatch.context() as m:
+        m.setattr(fuzzer, "execute_schedule", logged)
+        return run(), calls
+
+
+def _answer_hits_exactly(monkeypatch):
+    """Make every hit the campaign looks up ``get``'s exact answer, in a copy
+    of the memo's entry that takes no written-back items."""
+    find = RunMemo.find
+
+    def exact(memo, schedule):
+        hit = find(memo, schedule)
+        return None if hit is None else [memo.exact(schedule), hit[1]]
+
+    monkeypatch.setattr(RunMemo, "find", exact)
+
+
+LIGHT = [("micro", "model"), ("micro", "random"), ("micro", "trace"), ("micro", "line"),
+         ("tpc", "trace"), ("raftlite", "model")]
+
+
+@pytest.mark.parametrize("name, notion", LIGHT)
+def test_a_campaign_on_stored_runs_is_the_campaign_on_exact_hits(monkeypatch, name, notion):
+    """Same CampaignResult and same harness calls, resume steps and
+    checkpoints included, whichever way the memo answers."""
+    config = CampaignConfig(benchmark=BENCHES[name](), notion=notion, budget=400,
+                            master_seed=5)
+    memo = RunMemo(config.benchmark.sut)
+    light = _with_harness_calls(monkeypatch, lambda: fuzz_campaign(config, memo))
+    _answer_hits_exactly(monkeypatch)
+    assert _with_harness_calls(monkeypatch, lambda: fuzz_campaign(config)) == light
+    if name == "micro":
+        assert memo.hits * 2 > memo.lookups
+
+
+def test_a_comparison_on_stored_runs_is_the_comparison_on_exact_hits(monkeypatch):
+    config = CompareConfig(benchmark_factory=lambda: build_micro(2, 5, True),
+                           notions=("random", "trace", "model", "line"), runs=2, budget=300,
+                           master_seed=3, track_states=False)
+    light = _with_harness_calls(monkeypatch, lambda: compare_strategies(config))
+    _answer_hits_exactly(monkeypatch)
+    assert _with_harness_calls(monkeypatch, lambda: compare_strategies(config)) == light
