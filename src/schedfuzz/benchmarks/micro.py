@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from ..harness import AssertionBug, SystemUnderTest, make_message
 from ..mapper import RECV
-from ..model import Lts, MappingContractError, ModelAction
+from ..model import Lts, ModelAction
 from ..schedule import BufferId
 
 NULL_DEREF = "NullDeref: task buffer flushed before final task"
@@ -142,59 +142,55 @@ def micro_model(m: int, n: int) -> Lts:
     target = 1  # requests are dispatched to the first worker
     initial = MicroState((), (), (0,) * m, (0,) * m, (), ())
 
-    def step(q: MicroState, a: ModelAction):
+    def register(q: MicroState, p):
         registered, requests, completed, dispatched, to_terminate, terminated = q
-        name, args = a
-        if name == "Register":
-            (p,) = args
-            if p in registered or p not in procs:
-                return None
-            return MicroState(tuple(sorted(registered + (p,))), requests, completed,
-                              dispatched, to_terminate, terminated)
-        if name == "Request":
-            (r,) = args
-            if r in requests:
-                return None
-            if len(registered) == m + 1:
-                # the first task goes out with the grant
-                sent = dispatched[:target - 1] + (1,) + dispatched[target:]
-                return MicroState(registered, tuple(sorted(requests + (r,))), completed,
-                                  sent, to_terminate, terminated)
-            return q  # dropped before the cluster is ready
-        if name == "Relay":
-            w, idx = args
-            if not requests or not (1 <= w <= m) or idx > n:
-                return None
-            if dispatched[w - 1] != idx - 1 or completed[w - 1] != idx - 1:
-                return None
-            sent = dispatched[:w - 1] + (idx,) + dispatched[w:]
-            return MicroState(registered, requests, completed, sent, to_terminate, terminated)
-        if name == "Execute":
-            w, idx = args
-            if not requests or not (1 <= w <= m):
-                return None
-            if idx != completed[w - 1] + 1 or idx > n or dispatched[w - 1] != idx:
-                return None
-            done = completed[:w - 1] + (idx,) + completed[w:]
-            if idx < n:
-                # An intermediate task heals a flushed buffer.
-                terminated = tuple(x for x in terminated if x != w)
-            elif w in terminated:
-                return q  # final task is dropped (or dies) after a flush
-            return MicroState(registered, requests, done, dispatched, to_terminate, terminated)
-        if name == "Terminate":
-            (w,) = args
-            if not requests or w in to_terminate:
-                return None
-            return MicroState(registered, requests, completed, dispatched,
-                              tuple(sorted(to_terminate + (w,))), terminated)
-        if name == "Flush":
-            (w,) = args
-            if w not in to_terminate or w in terminated:
-                return None
-            return MicroState(registered, requests, completed, dispatched, to_terminate,
-                              tuple(sorted(terminated + (w,))))
-        raise MappingContractError(f"micro model knows no action {name!r}")
+        if p in registered or p not in procs:
+            return None
+        return MicroState(tuple(sorted(registered + (p,))), requests, completed,
+                          dispatched, to_terminate, terminated)
+    def request(q: MicroState, r):
+        registered, requests, completed, dispatched, to_terminate, terminated = q
+        if r in requests:
+            return None
+        if len(registered) == m + 1:
+            # the first task goes out with the grant
+            sent = dispatched[:target - 1] + (1,) + dispatched[target:]
+            return MicroState(registered, tuple(sorted(requests + (r,))), completed,
+                              sent, to_terminate, terminated)
+        return q  # dropped before the cluster is ready
+    def relay(q: MicroState, w, idx):
+        registered, requests, completed, dispatched, to_terminate, terminated = q
+        if not requests or not (1 <= w <= m) or idx > n:
+            return None
+        if dispatched[w - 1] != idx - 1 or completed[w - 1] != idx - 1:
+            return None
+        sent = dispatched[:w - 1] + (idx,) + dispatched[w:]
+        return MicroState(registered, requests, completed, sent, to_terminate, terminated)
+    def execute(q: MicroState, w, idx):
+        registered, requests, completed, dispatched, to_terminate, terminated = q
+        if not requests or not (1 <= w <= m):
+            return None
+        if idx != completed[w - 1] + 1 or idx > n or dispatched[w - 1] != idx:
+            return None
+        done = completed[:w - 1] + (idx,) + completed[w:]
+        if idx < n:
+            # An intermediate task heals a flushed buffer.
+            terminated = tuple(x for x in terminated if x != w)
+        elif w in terminated:
+            return q  # final task is dropped (or dies) after a flush
+        return MicroState(registered, requests, done, dispatched, to_terminate, terminated)
+    def terminate(q: MicroState, w):
+        registered, requests, completed, dispatched, to_terminate, terminated = q
+        if not requests or w in to_terminate:
+            return None
+        return MicroState(registered, requests, completed, dispatched,
+                          tuple(sorted(to_terminate + (w,))), terminated)
+    def flush(q: MicroState, w):
+        registered, requests, completed, dispatched, to_terminate, terminated = q
+        if w not in to_terminate or w in terminated:
+            return None
+        return MicroState(registered, requests, completed, dispatched, to_terminate,
+                          tuple(sorted(terminated + (w,))))
 
     def enabled(q: MicroState):
         acts = [ModelAction("Register", (p,)) for p in procs if p not in q.registered]
@@ -215,5 +211,7 @@ def micro_model(m: int, n: int) -> Lts:
                 acts.append(ModelAction("Flush", (w,)))
         return acts
 
-    return Lts(initial=initial, step=step, enabled=enabled)
+    actions = {"Register": register, "Request": request, "Relay": relay,
+               "Execute": execute, "Terminate": terminate, "Flush": flush}
+    return Lts(initial=initial, actions=actions, enabled=enabled)
 

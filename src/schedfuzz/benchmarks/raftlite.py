@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from ..harness import SystemUnderTest, make_message
 from ..mapper import RECV
-from ..model import Lts, MappingContractError, ModelAction, _set
+from ..model import Lts, ModelAction, _set
 from ..schedule import BufferId
 
 FOLLOWER, CANDIDATE, LEADER = 0, 1, 2
@@ -373,7 +373,13 @@ EVENTS = {
     "AppendEntriesResponse": ("HandleAppendEntriesResponse",
                               (RECV, "term", "success", "match")),
 }
-LIVE_ACTIONS = frozenset(action for action, _ in EVENTS.values())
+
+
+def live(rule):
+    """``rule`` at a live process, its first argument; elsewhere the action is disabled."""
+    def at_live(q: RaftState, p, *args):
+        return rule(q, p, *args) if p in q.active else None
+    return at_live
 
 
 def raftlite_model(proc_count: int) -> Lts:
@@ -385,68 +391,56 @@ def raftlite_model(proc_count: int) -> Lts:
         active=tuple(range(proc_count)),
     )
 
-    def step(q: RaftState, a: ModelAction):
+    def crash(q: RaftState, p):
         terms, roles, logs, snaps, active = q
-        name, args = a
-        if name == "Crash":
-            (p,) = args
-            if p not in active:
-                return None
-            return RaftState(terms, roles, logs, snaps, tuple(x for x in active if x != p))
-        if name == "Restart":
-            (p,) = args
-            if p in active or not (0 <= p < proc_count):
-                return None
-            return RaftState(terms, _set(roles, p, FOLLOWER), logs, snaps,
-                             tuple(sorted(active + (p,))))
-        # All remaining actions happen at a live process; an unknown one fails first.
-        if name not in LIVE_ACTIONS:
-            raise MappingContractError(f"raftlite model knows no action {name!r}")
-        p = args[0]
-        if p not in active:
+        return RaftState(terms, roles, logs, snaps, tuple(x for x in active if x != p))
+    def restart(q: RaftState, p):
+        terms, roles, logs, snaps, active = q
+        if p in active or not (0 <= p < proc_count):
             return None
-        if name == "Timeout":
-            if roles[p] == LEADER:
-                return q  # leader ticks serve requests, modeled separately
-            return RaftState(_set(terms, p, terms[p] + 1), _set(roles, p, CANDIDATE),
-                             logs, snaps, active)
-        if name == "ElectLeader":
-            _, term = args
-            return RaftState(_set(terms, p, term), _set(roles, p, LEADER),
-                             logs, snaps, active)
-        if name == "ClientRequest":
-            _, serial = args
-            if roles[p] != LEADER:
-                return None
-            entry = (terms[p], serial)
-            return RaftState(terms, roles, _set(logs, p, logs[p] + (entry,)), snaps, active)
-        if name in ("HandleRequestVoteRequest", "HandleRequestVoteResponse",
-                    "HandleAppendEntriesResponse"):
-            term = args[1]
-            if term > terms[p]:
-                return RaftState(_set(terms, p, term), _set(roles, p, FOLLOWER),
-                                 logs, snaps, active)
+        return RaftState(terms, _set(roles, p, FOLLOWER), logs, snaps,
+                         tuple(sorted(active + (p,))))
+    def timeout(q: RaftState, p):
+        terms, roles, logs, snaps, active = q
+        if roles[p] == LEADER:
+            return q  # leader ticks serve requests, modeled separately
+        return RaftState(_set(terms, p, terms[p] + 1), _set(roles, p, CANDIDATE),
+                         logs, snaps, active)
+    def elect_leader(q: RaftState, p, term):
+        terms, roles, logs, snaps, active = q
+        return RaftState(_set(terms, p, term), _set(roles, p, LEADER), logs, snaps, active)
+    def client_request(q: RaftState, p, serial):
+        terms, roles, logs, snaps, active = q
+        if roles[p] != LEADER:
+            return None
+        entry = (terms[p], serial)
+        return RaftState(terms, roles, _set(logs, p, logs[p] + (entry,)), snaps, active)
+    def term_bump(q: RaftState, p, term, *_):
+        terms, roles, logs, snaps, active = q
+        if term <= terms[p]:
             return q
-        if name == "HandleAppendEntriesRequest":
-            _, term, prev_idx, prev_term, entries_str, _commit = args
-            if term < terms[p]:
-                return q  # stale append is acknowledged but changes nothing
-            terms, roles = _set(terms, p, term), _set(roles, p, FOLLOWER)
-            log = logs[p]
-            if prev_idx > len(log) or prev_idx >= 1 and log[prev_idx - 1][0] != prev_term:
-                return RaftState(terms, roles, logs, snaps, active)
-            entries = parse_entries(entries_str)
-            merged = list(log)
-            idx = prev_idx
-            for e in entries:
-                idx += 1
-                if idx <= len(merged):
-                    if merged[idx - 1][0] == e[0]:
-                        continue
-                    del merged[idx - 1:]
-                merged.append(e)
-            return RaftState(terms, roles, _set(logs, p, tuple(merged)), snaps, active)
-        _, snap = args  # UpdateSnapshotIndex, the one action left
+        return RaftState(_set(terms, p, term), _set(roles, p, FOLLOWER), logs, snaps, active)
+    def append_entries(q: RaftState, p, term, prev_idx, prev_term, entries_str, _commit):
+        terms, roles, logs, snaps, active = q
+        if term < terms[p]:
+            return q  # stale append is acknowledged but changes nothing
+        terms, roles = _set(terms, p, term), _set(roles, p, FOLLOWER)
+        log = logs[p]
+        if prev_idx > len(log) or prev_idx >= 1 and log[prev_idx - 1][0] != prev_term:
+            return RaftState(terms, roles, logs, snaps, active)
+        entries = parse_entries(entries_str)
+        merged = list(log)
+        idx = prev_idx
+        for e in entries:
+            idx += 1
+            if idx <= len(merged):
+                if merged[idx - 1][0] == e[0]:
+                    continue
+                del merged[idx - 1:]
+            merged.append(e)
+        return RaftState(terms, roles, _set(logs, p, tuple(merged)), snaps, active)
+    def update_snapshot_index(q: RaftState, p, snap):
+        terms, roles, logs, snaps, active = q
         return RaftState(terms, roles, logs, _set(snaps, p, max(snaps[p], snap)), active)
 
     def enabled(q: RaftState):
@@ -465,4 +459,10 @@ def raftlite_model(proc_count: int) -> Lts:
                 acts.append(ModelAction("Restart", (p,)))
         return acts
 
-    return Lts(initial=initial, step=step, enabled=enabled, merges=merge_terms)
+    actions = {"Crash": live(crash), "Restart": restart, "Timeout": live(timeout),
+               "ElectLeader": live(elect_leader), "ClientRequest": live(client_request),
+               "HandleAppendEntriesRequest": live(append_entries),
+               "UpdateSnapshotIndex": live(update_snapshot_index),
+               **dict.fromkeys(("HandleRequestVoteRequest", "HandleRequestVoteResponse",
+                                "HandleAppendEntriesResponse"), live(term_bump))}
+    return Lts(initial=initial, actions=actions, enabled=enabled, merges=merge_terms)

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from ..harness import SystemUnderTest, make_message
 from ..mapper import RECV, SEND
-from ..model import Lts, MappingContractError, ModelAction, _set
+from ..model import Lts, ModelAction, _set
 from ..schedule import BufferId
 
 # Per-transaction phases (TM) and statuses (RM); RM statuses reuse the
@@ -176,66 +176,57 @@ def tpc_model(rm_count: int, var_count: int, request_count: int) -> Lts:
         decided=(),
     )
 
-    def step(q: TpcState, a: ModelAction):
+    def valid(rm, tx) -> bool:
+        return 1 <= rm <= rm_count and 0 <= tx < request_count
+    def client_request(q: TpcState, tx):
         tm, rms, locks, decided = q
-        name, args = a
-        if name == "ClientRequest":
-            (tx,) = args
-            if not _valid_tx(tx) or tm[tx] != INIT:
-                return None
-            return TpcState(_set(tm, tx, COLLECTING), rms, locks, decided)
-        if name == "HandlePrepare":
-            rm, tx = args
-            if not _valid_rm(rm) or not _valid_tx(tx):
-                return None
-            if tm[tx] == INIT or rms[rm - 1][tx] != WORKING:
-                return None
-            held = locks[rm - 1]
-            needed = tx_vars(tx, var_count)
-            if any(held[v] for v in needed):
-                return TpcState(tm, _set2(rms, rm - 1, tx, REFUSED), locks, decided)
-            new_locks = list(held)
-            for v in needed:
-                new_locks[v] = 1
-            return TpcState(tm, _set2(rms, rm - 1, tx, PREPARED),
-                            _set(locks, rm - 1, tuple(new_locks)), decided)
-        if name == "HandleVote":
-            tx, rm, granted = args
-            if not _valid_rm(rm) or not _valid_tx(tx):
-                return None
-            if rms[rm - 1][tx] == WORKING or tm[tx] == INIT:
-                return None  # that RM has not voted
-            if tm[tx] == COLLECTING and not granted:
-                return TpcState(_set(tm, tx, ABORTED), rms, locks,
-                                tuple(sorted(decided + ((tx, ABORTED),))))
-            return q  # tallying is invisible until a decision shows up
-        if name == "HandleDecision":
-            rm, tx, commit = args
-            if not _valid_rm(rm) or not _valid_tx(tx):
-                return None
-            want = COMMITTED if commit else ABORTED
-            if tm[tx] == COLLECTING and commit:
-                # first commit decision observed: the tally filled up
-                tm = _set(tm, tx, COMMITTED)
-                decided = tuple(sorted(decided + ((tx, COMMITTED),)))
-            status = rms[rm - 1][tx]
-            if tm[tx] != want or status in (COMMITTED, ABORTED):
-                return None
-            held = locks[rm - 1]
-            if status == PREPARED:
-                # release exactly this transaction's variables: no other
-                # prepared transaction can share them
-                needed = set(tx_vars(tx, var_count))
-                held = tuple(0 if v in needed else flag for v, flag in enumerate(held))
-            return TpcState(tm, _set2(rms, rm - 1, tx, want), _set(locks, rm - 1, held),
-                            decided)
-        raise MappingContractError(f"tpc model knows no action {name!r}")
-
-    def _valid_tx(tx) -> bool:
-        return 0 <= tx < request_count
-
-    def _valid_rm(rm) -> bool:
-        return 1 <= rm <= rm_count
+        if not 0 <= tx < request_count or tm[tx] != INIT:
+            return None
+        return TpcState(_set(tm, tx, COLLECTING), rms, locks, decided)
+    def handle_prepare(q: TpcState, rm, tx):
+        tm, rms, locks, decided = q
+        if not valid(rm, tx):
+            return None
+        if tm[tx] == INIT or rms[rm - 1][tx] != WORKING:
+            return None
+        held = locks[rm - 1]
+        needed = tx_vars(tx, var_count)
+        if any(held[v] for v in needed):
+            return TpcState(tm, _set2(rms, rm - 1, tx, REFUSED), locks, decided)
+        new_locks = list(held)
+        for v in needed:
+            new_locks[v] = 1
+        return TpcState(tm, _set2(rms, rm - 1, tx, PREPARED),
+                        _set(locks, rm - 1, tuple(new_locks)), decided)
+    def handle_vote(q: TpcState, tx, rm, granted):
+        tm, rms, locks, decided = q
+        if not valid(rm, tx):
+            return None
+        if rms[rm - 1][tx] == WORKING or tm[tx] == INIT:
+            return None  # that RM has not voted
+        if tm[tx] == COLLECTING and not granted:
+            return TpcState(_set(tm, tx, ABORTED), rms, locks,
+                            tuple(sorted(decided + ((tx, ABORTED),))))
+        return q  # tallying is invisible until a decision shows up
+    def handle_decision(q: TpcState, rm, tx, commit):
+        tm, rms, locks, decided = q
+        if not valid(rm, tx):
+            return None
+        want = COMMITTED if commit else ABORTED
+        if tm[tx] == COLLECTING and commit:
+            # first commit decision observed: the tally filled up
+            tm = _set(tm, tx, COMMITTED)
+            decided = tuple(sorted(decided + ((tx, COMMITTED),)))
+        status = rms[rm - 1][tx]
+        if tm[tx] != want or status in (COMMITTED, ABORTED):
+            return None
+        held = locks[rm - 1]
+        if status == PREPARED:
+            # release exactly this transaction's variables: no other
+            # prepared transaction can share them
+            needed = set(tx_vars(tx, var_count))
+            held = tuple(0 if v in needed else flag for v, flag in enumerate(held))
+        return TpcState(tm, _set2(rms, rm - 1, tx, want), _set(locks, rm - 1, held), decided)
 
     def enabled(q: TpcState):
         acts = []
@@ -260,7 +251,9 @@ def tpc_model(rm_count: int, var_count: int, request_count: int) -> Lts:
                         acts.append(ModelAction("HandleDecision", (rm, tx, commit)))
         return acts
 
-    return Lts(initial=initial, step=step, enabled=enabled)
+    actions = {"ClientRequest": client_request, "HandlePrepare": handle_prepare,
+               "HandleVote": handle_vote, "HandleDecision": handle_decision}
+    return Lts(initial=initial, actions=actions, enabled=enabled)
 
 
 def _set2(t: tuple, i: int, j: int, v) -> tuple:

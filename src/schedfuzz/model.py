@@ -33,18 +33,26 @@ class StateExplosion(RuntimeError):
 class Lts:
     """A labeled transition system <states, initial, actions, step>.
 
-    ``step(state, action)`` is a pure function returning the one successor
-    state, or None when the action is disabled in that state: the mapped
-    actions carry every argument, so each step is deterministic.  ``enabled``
-    enumerates candidate actions for exhaustive reachability.
+    ``actions`` maps each action name to a pure rule ``rule(state, *args)``
+    returning the one successor state, or None when the action is disabled
+    there: mapped actions carry every argument, so each step is deterministic.
+    ``enabled`` enumerates candidate actions for exhaustive reachability.
     ``merges(prev, state)``, when set, abstracts state paths for coverage: a
     state it merges into the abstracted state before it counts as that one.
     """
 
     initial: object
-    step: Callable[[object, ModelAction], object]
+    actions: dict
     enabled: Callable[[object], list]
     merges: Callable[[object, object], bool] | None = None
+
+    def step(self, state, action: ModelAction):
+        """Apply ``action``'s row to ``state``; a name with no row raises."""
+        name, args = action
+        if name not in self.actions:
+            raise MappingContractError(f"the model knows no action {name!r} "
+                                       f"(known: {', '.join(self.actions)})")
+        return self.actions[name](state, *args)
 
 
 def _set(t: tuple, i: int, v) -> tuple:
@@ -63,14 +71,14 @@ def run_actions(lts: Lts, actions, start=None) -> RunResult:
 
     An action disabled in the current state is recorded as unmatched and
     leaves the state unchanged, so one divergence does not poison the rest
-    of the run.  An action whose *name* the model has never heard of is a
-    mapping-contract violation and raises instead.
+    of the run.
     """
     q = lts.initial if start is None else start
     path = [q]
     unmatched = []
+    step = lts.step
     for idx, action in enumerate(actions):
-        nxt = lts.step(q, action)
+        nxt = step(q, action)
         if nxt is None:
             unmatched.append(idx)
         else:

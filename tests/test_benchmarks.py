@@ -84,6 +84,9 @@ def test_each_handled_verb_names_a_method_and_maps_to_an_action(name):
         assert callable(getattr(bench.sut, method, None)), (verb, method)
     # A delivered message can always be mapped to a model action.
     assert set(bench.sut.handlers) <= set(bench.events)
+    # The model has a row for each action an event maps to, and no other.
+    faults = {"Crash", "Restart"} if bench.sut.crashes_allowed else set()
+    assert set(bench.lts.actions) == {action for action, _ in bench.events.values()} | faults
 
 
 @pytest.mark.parametrize("name", list(BENCHMARKS))

@@ -45,12 +45,9 @@ def test_a_comparison_builds_one_benchmark_and_one_memo(monkeypatch):
 def rejecting_micro():
     """micro(2, 5) with a model that rejects every Execute action."""
     bench = build_micro(2, 5, True)
-    step = bench.lts.step
-
-    def reject_execute(q, a):
-        return None if a.name == "Execute" else step(q, a)
-
-    return dataclasses.replace(bench, lts=dataclasses.replace(bench.lts, step=reject_execute))
+    lts = dataclasses.replace(bench.lts, actions={
+        **bench.lts.actions, "Execute": lambda q, *args: None})
+    return dataclasses.replace(bench, lts=lts)
 
 
 # A random campaign keeps no schedule to look up again, so only a trace or
@@ -122,11 +119,12 @@ def test_a_run_stored_without_state_items_is_walked_once(monkeypatch):
             m.setattr(stats, "fuzz_campaign", kept)
             return compare_strategies(config), results
 
-    walks, hit_traces = Counter(), {}
+    walks, hit_traces, walked = Counter(), {}, []
     walk, find = fuzzer.walk_model, RunMemo.find
 
     def counted_walk(bench, trace, start=None, marks=None):
         walks[id(trace)] += 1
+        walked.append(trace)  # kept, so no id is reused
         return walk(bench, trace, start, marks)
 
     def recorded_find(memo, schedule):

@@ -316,10 +316,10 @@ def _eager_iteration_schedules(config):
 
 def test_a_repeated_schedule_still_counts_its_unmatched_actions():
     bench = build_micro()
-    step = bench.lts.step
+    relay = bench.lts.actions["Relay"]
     # A model that rejects every relay of an odd task index.
-    lts = dataclasses.replace(bench.lts, step=lambda q, a: (
-        None if a.name == "Relay" and a.args[1] % 2 else step(q, a)))
+    lts = dataclasses.replace(bench.lts, actions={
+        **bench.lts.actions, "Relay": lambda q, w, idx: None if idx % 2 else relay(q, w, idx)})
     bench = dataclasses.replace(bench, lts=lts)
     config = CampaignConfig(benchmark=bench, notion="model", budget=400,
                             master_seed=1)

@@ -59,7 +59,7 @@ def test_micro_and_tpc_fingerprints_disjoint():
     (lambda: build_raftlite(3), [ModelAction("Crash", (1,))]),
 ], ids=["micro", "tpc", "raftlite", "raftlite-crashed"])
 def test_unknown_action_is_a_mapping_contract_error(build, before, args):
-    with pytest.raises(MappingContractError):
+    with pytest.raises(MappingContractError, match="'Levitate'"):
         run_actions(build().lts, [*before, ModelAction("Levitate", args)])
 
 

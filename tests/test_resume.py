@@ -142,9 +142,9 @@ def test_running_on_a_clone_leaves_the_original_as_it_was(name):
 def _odd_relays_rejected():
     """micro under a model that rejects every relay of an odd task index."""
     bench = build_micro()
-    step = bench.lts.step
-    return dataclasses.replace(bench, lts=dataclasses.replace(bench.lts, step=lambda q, a: (
-        None if a.name == "Relay" and a.args[1] % 2 else step(q, a))))
+    relay = bench.lts.actions["Relay"]
+    return dataclasses.replace(bench, lts=dataclasses.replace(bench.lts, actions={
+        **bench.lts.actions, "Relay": lambda q, w, idx: None if idx % 2 else relay(q, w, idx)}))
 
 
 def _triples(bench, trace):
